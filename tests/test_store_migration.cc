@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "auth/enrollment.hh"
+#include "service/request.hh"
 #include "store/codec.hh"
 #include "store/enrollment_db.hh"
 #include "store/io.hh"
@@ -248,6 +249,89 @@ TEST_F(StoreMigrationFuzz, LegacyImagesImportIntoTheDb)
         ASSERT_EQ(db.get(id, got), DbGetStatus::Ok) << id;
         EXPECT_TRUE(matchesOriginal(orig, id, got)) << id;
     }
+}
+
+// --------------------------------------------------------------------
+// Bit-identity pins: FNV-1a digests of every byte format the store and
+// the request service write, for a fixed record set. Any change to a
+// writer — a reordered field, a new padding byte, a different frame —
+// moves a digest; a refactor of the codecs must keep all four.
+
+TEST(StoreFormatPins, EpromImageBytes)
+{
+    EnrollmentStore store;
+    for (const auto &[id, rec] : originalRecords())
+        store.enroll(id, rec.fp);
+    const std::string path =
+        std::string(::testing::TempDir()) + "pin_eprom.bin";
+    ASSERT_TRUE(store.saveToFile(path));
+    std::vector<char> image;
+    ASSERT_TRUE(readFile(path, image));
+    EXPECT_EQ(image.size(), 1464u);
+    EXPECT_EQ(fnv1a(image), 0x7e120e576771cfc5ULL);
+    std::remove(path.c_str());
+}
+
+TEST(StoreFormatPins, ShardImageBytes)
+{
+    const std::vector<char> image = buildShardImage(originalRecords());
+    EXPECT_EQ(image.size(), 1848u);
+    EXPECT_EQ(fnv1a(image), 0x44538cac98a4b385ULL);
+}
+
+TEST(StoreFormatPins, JournalBytesAfterTwoPuts)
+{
+    const std::string dir =
+        std::string(::testing::TempDir()) + "pin_journal";
+    ensureDir(dir);
+    removeFile(dir + "/journal.wal");
+    for (unsigned s = 0; s < 4; ++s)
+        removeFile(dir + "/shard-" + std::to_string(s) + ".bin");
+    EnrollmentDbConfig cfg;
+    cfg.directory = dir;
+    cfg.shards = 4;
+    {
+        EnrollmentDb db(cfg);
+        ASSERT_TRUE(db.open());
+        const auto orig = originalRecords();
+        ASSERT_TRUE(db.put(orig.at("mig0")));
+        ASSERT_TRUE(db.put(orig.at("mig1")));
+    }
+    std::vector<char> journal;
+    ASSERT_TRUE(readFile(dir + "/journal.wal", journal));
+    EXPECT_EQ(journal.size(), 478u);
+    EXPECT_EQ(fnv1a(journal), 0x3923c1e448f2f2bcULL);
+}
+
+TEST(StoreFormatPins, DivqRequestAndResponseFrames)
+{
+    service::ServiceRequest rq;
+    rq.id = 0x1234;
+    rq.kind = service::RequestKind::Verify;
+    rq.channel = "mig2";
+    std::vector<char> request;
+    service::appendRequestFrame(request, rq);
+    EXPECT_EQ(request.size(), 52u);
+    EXPECT_EQ(fnv1a(request), 0x6e1a59990251d6c0ULL);
+
+    service::ServiceResponse rs;
+    rs.id = 0x1234;
+    rs.kind = service::RequestKind::Verify;
+    rs.status = service::ResponseStatus::Ok;
+    rs.tick = 17;
+    rs.channel = "mig2";
+    rs.state = 1;
+    rs.phase = 2;
+    rs.flags = service::kResponseAuthenticated;
+    rs.similarity = 0.875;
+    rs.generation = 3;
+    rs.channels = 4;
+    rs.fenced = 1;
+    rs.quarantined = 1;
+    std::vector<char> response;
+    service::appendResponseFrame(response, rs);
+    EXPECT_EQ(response.size(), 132u);
+    EXPECT_EQ(fnv1a(response), 0xecab42d0d9216464ULL);
 }
 
 // --------------------------------------------------------------------
