@@ -16,7 +16,11 @@
  * checksum, and per-record CRCs. Any single-byte corruption lands in
  * exactly one bank; loading falls back to the surviving bank and
  * scrubs (rewrites) the image. Version-1 single-copy files remain
- * readable.
+ * readable. The byte formats live in store/codec (the v2 image is its
+ * kEpromVersion); bank A is read whenever its header and payload fit
+ * in the file. There is no per-record salvage: a load takes one whole
+ * verified bank or nothing, and only names the first bank-A record
+ * that broke.
  */
 
 #ifndef DIVOT_AUTH_ENROLLMENT_HH
@@ -28,6 +32,7 @@
 #include <string>
 
 #include "fingerprint/fingerprint.hh"
+#include "store/codec.hh"
 #include "store/io.hh"
 
 namespace divot {
@@ -126,7 +131,7 @@ class EnrollmentStore
     }
 
   private:
-    std::map<std::string, Fingerprint> store_;
+    std::map<std::string, store::EnrollmentRecord> store_;
     std::optional<store::WriteFault> saveFault_;
 };
 

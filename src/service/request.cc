@@ -1,6 +1,6 @@
 #include "service/request.hh"
 
-#include <cstring>
+#include <algorithm>
 
 #include "store/codec.hh"
 
@@ -11,33 +11,6 @@ namespace {
 /** Requests and responses are a few hundred bytes at most; a body
  *  length past this is a corrupted length field, not a big frame. */
 constexpr uint64_t kMaxBodyBytes = 1ull << 20;
-
-void
-putU32(std::vector<char> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-uint32_t
-readU32(const char *data)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-    return v;
-}
-
-uint64_t
-readU64(const char *data)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-    return v;
-}
 
 std::vector<char>
 encodeRequestBody(const ServiceRequest &request)
@@ -112,8 +85,8 @@ decodeResponseBody(const std::vector<char> &body, ServiceResponse &out)
 void
 appendFrame(std::vector<char> &stream, const std::vector<char> &body)
 {
-    putU32(stream, kServiceMagic);
-    putU32(stream, kServiceVersion);
+    store::putU64(stream, (static_cast<uint64_t>(kServiceVersion) << 32) |
+                              kServiceMagic);
     store::putU64(stream, body.size());
     store::putU64(stream, store::fnv1a(body));
     stream.insert(stream.end(), body.begin(), body.end());
@@ -130,15 +103,25 @@ FrameParse
 openFrame(const char *data, std::size_t n, std::vector<char> &body)
 {
     FrameParse parse;
-    if (n >= 4 && readU32(data) != kServiceMagic) {
+    // Magic (low word) and version (high word) share the first u64:
+    // decode whatever prefix of the header arrived, zero-padded, so a
+    // short buffer still gets the most specific diagnosis.
+    char header[kServiceFrameHeader] = {};
+    std::copy_n(data, std::min(n, kServiceFrameHeader), header);
+    store::ByteReader hr(header, kServiceFrameHeader);
+    uint64_t magicVer = 0, bodyLen = 0, crc = 0;
+    hr.u64(magicVer);
+    hr.u64(bodyLen);
+    hr.u64(crc);
+    if (n >= 4 && (magicVer & 0xffffffffu) != kServiceMagic) {
         parse.status = ParseStatus::BadMagic;
         parse.detail = "frame does not start with DIVQ magic";
         return parse;
     }
-    if (n >= 8 && readU32(data + 4) != kServiceVersion) {
+    if (n >= 8 && (magicVer >> 32) != kServiceVersion) {
         parse.status = ParseStatus::BadVersion;
         parse.detail = "unsupported codec version " +
-                       std::to_string(readU32(data + 4));
+                       std::to_string(magicVer >> 32);
         return parse;
     }
     if (n < kServiceFrameHeader) {
@@ -148,8 +131,6 @@ openFrame(const char *data, std::size_t n, std::vector<char> &body)
                        " bytes)";
         return parse;
     }
-    const uint64_t bodyLen = readU64(data + 8);
-    const uint64_t crc = readU64(data + 16);
     if (bodyLen > kMaxBodyBytes) {
         parse.status = ParseStatus::BadLength;
         parse.detail = "body length " + std::to_string(bodyLen) +

@@ -141,197 +141,270 @@ EnrollmentRecord::residentBytes() const
                 nominal.size());
 }
 
-std::vector<char>
-encodeRecordBody(const EnrollmentRecord &record)
+namespace {
+
+/** Append one record body with the fields `version` stores: v1/v2
+ *  bodies end after the residual. */
+void
+putRecordBody(std::vector<char> &out, const EnrollmentRecord &record,
+              uint32_t version)
 {
-    std::vector<char> body;
-    putString(body, record.id);
-    putString(body, record.fp.label());
-    putWaveform(body, record.fp.raw());
-    putWaveform(body, record.fp.residual());
-    putWaveform(body, record.nominal);
-    putU64(body, record.flags);
-    putU64(body, record.generation);
-    return body;
+    putString(out, record.id);
+    putString(out, record.fp.label());
+    putWaveform(out, record.fp.raw());
+    putWaveform(out, record.fp.residual());
+    if (version < kShardVersion)
+        return;
+    putWaveform(out, record.nominal);
+    putU64(out, record.flags);
+    putU64(out, record.generation);
 }
 
+/** Read one `version` record body into a fresh `rec`. */
 bool
-decodeRecordBody(const std::vector<char> &body, EnrollmentRecord &out)
+readRecordBody(ByteReader &br, uint32_t version, EnrollmentRecord &rec)
 {
-    ByteReader br(body);
-    EnrollmentRecord rec;
     std::string label;
     Waveform raw, residual;
     if (!br.str(rec.id) || !br.str(label) || !br.waveform(raw) ||
-        !br.waveform(residual) || !br.waveform(rec.nominal) ||
-        !br.u64(rec.flags) || !br.u64(rec.generation) || !br.done()) {
+        !br.waveform(residual)) {
+        return false;
+    }
+    if (version >= kShardVersion &&
+        (!br.waveform(rec.nominal) || !br.u64(rec.flags) ||
+         !br.u64(rec.generation))) {
         return false;
     }
     if (raw.empty())
         return false; // a record must carry a usable fingerprint
     rec.fp = Fingerprint::fromParts(std::move(raw), std::move(residual),
                                     std::move(label));
+    return true;
+}
+
+/** Decode a whole framed body; `out` is untouched on failure. */
+bool
+decodeBody(const char *data, std::size_t n, uint32_t version,
+           EnrollmentRecord &out)
+{
+    ByteReader br(data, n);
+    EnrollmentRecord rec;
+    if (!readRecordBody(br, version, rec) || !br.done())
+        return false;
     out = std::move(rec);
     return true;
 }
 
-namespace {
-
-/** Payload = record count, then per record [bodyLen][body][crc]. */
-std::vector<char>
-buildPayload(const std::map<std::string, EnrollmentRecord> &records)
+/** One `[bodyLen][body][fnv1a(body)]` record frame of a payload. */
+struct Frame
 {
-    std::vector<char> payload;
-    putU64(payload, records.size());
-    for (const auto &[id, record] : records) {
-        const std::vector<char> body = encodeRecordBody(record);
-        putU64(payload, body.size());
-        payload.insert(payload.end(), body.begin(), body.end());
-        putU64(payload, fnv1a(body));
-    }
-    return payload;
-}
-
-/** Result of a lenient frame walk over one bank's payload bytes. */
-struct WalkResult
-{
-    uint64_t declaredCount = 0; //!< leading count field (0 if absent)
-    std::vector<std::optional<EnrollmentRecord>> records; //!< by index
-    std::vector<RecordDamage> damaged;
-    bool clean = false; //!< every frame verified and walk consumed all
-};
-
-/**
- * Walk a payload's record frames, recovering every record whose CRC
- * verifies. Damage is localized: a bad CRC with plausible framing
- * skips to the next frame; implausible framing ends the walk (frames
- * cannot be resynchronized without their length prefix).
- */
-WalkResult
-walkPayload(const char *data, std::size_t n)
-{
-    WalkResult result;
-    ByteReader pr(data, n);
-    if (!pr.u64(result.declaredCount))
-        return result;
-
-    bool all_ok = true;
-    for (uint64_t index = 0;; ++index) {
-        if (pr.done())
-            break;
-        const uint64_t offset = pr.pos();
-        uint64_t body_len = 0;
-        // Overflow-safe frame guard: body_len comes straight from the
-        // medium, so a rotted length near 2^64 must not wrap the sum
-        // past the real bound.
-        if (!pr.u64(body_len) || pr.remaining() < 8 ||
-            body_len > pr.remaining() - 8) {
-            RecordDamage dmg;
-            dmg.index = index;
-            dmg.offset = offset;
-            result.damaged.push_back(std::move(dmg));
-            all_ok = false;
-            break; // framing lost: cannot locate the next record
-        }
-        std::vector<char> body;
-        uint64_t crc = 0;
-        pr.raw(body, body_len);
-        pr.u64(crc);
-
-        EnrollmentRecord rec;
-        if (fnv1a(body) == crc && decodeRecordBody(body, rec)) {
-            result.records.push_back(std::move(rec));
-            continue;
-        }
-        RecordDamage dmg;
-        dmg.index = index;
-        dmg.offset = offset;
-        // Best-effort id for the report: the id string leads the body
-        // and often survives a corruption that lands elsewhere.
-        ByteReader br(body);
-        std::string maybe_id;
-        if (br.str(maybe_id))
-            dmg.id = std::move(maybe_id);
-        result.damaged.push_back(std::move(dmg));
-        result.records.emplace_back(std::nullopt);
-        all_ok = false;
-    }
-    result.clean = all_ok && pr.done() &&
-                   result.records.size() == result.declaredCount;
-    return result;
-}
-
-struct BankSpan
-{
-    bool located = false;
-    std::size_t offset = 0;
+    uint64_t index = 0;  //!< record position within the payload
+    uint64_t offset = 0; //!< byte offset of the frame in the payload
+    const char *body = nullptr;
     std::size_t length = 0;
-    bool crcOk = false;
+    uint64_t crc = 0;
+
+    bool intact() const { return fnv1a(body, length) == crc; }
 };
 
-uint64_t
-readU64At(const std::vector<char> &bytes, std::size_t pos)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<uint64_t>(
-                 static_cast<unsigned char>(bytes[pos + i]))
-             << (8 * i);
-    }
-    return v;
-}
-
 /**
- * Locate a bank's payload span. Header fields are used when they are
- * self-consistent; otherwise the span falls back to the structural
- * midpoint (both banks carry the same payload, so an undamaged image
- * always splits evenly between the two 24-byte frames).
+ * The record-frame walker: steps through a payload's frames after its
+ * leading record count. Framing is lost — and the walk ends — when a
+ * length field no longer fits what is left of the payload.
  */
-BankSpan
-locateBank(const std::vector<char> &bytes, bool bank_b)
+class FrameWalker
 {
-    BankSpan span;
-    if (bytes.size() < 2 * kBankHeaderSize)
-        return span;
-    const std::size_t body = bytes.size() - 2 * kBankHeaderSize;
-    const std::size_t expected = body / 2;
-
-    uint64_t magic_ver, len, crc;
-    if (!bank_b) {
-        magic_ver = readU64At(bytes, 0);
-        len = readU64At(bytes, 8);
-        crc = readU64At(bytes, 16);
-    } else {
-        const std::size_t t = bytes.size() - kBankHeaderSize;
-        crc = readU64At(bytes, t);
-        len = readU64At(bytes, t + 8);
-        magic_ver = readU64At(bytes, t + 16);
+  public:
+    FrameWalker(const char *data, std::size_t n)
+        : data_(data), reader_(data, n)
+    {
+        counted_ = reader_.u64(count_);
     }
 
-    const bool header_ok =
-        (magic_ver & 0xffffffffu) == kStoreMagic &&
-        (magic_ver >> 32) == kShardVersion && len <= body;
-    span.length = header_ok ? static_cast<std::size_t>(len) : expected;
-    span.offset = bank_b ? bytes.size() - kBankHeaderSize - span.length
-                         : kBankHeaderSize;
-    if (span.offset < kBankHeaderSize ||
-        span.offset + span.length > bytes.size() - kBankHeaderSize) {
-        return span;
+    bool counted() const { return counted_; }
+    uint64_t count() const { return count_; }
+    bool lost() const { return lost_; }
+
+    /**
+     * Step to the next frame.
+     *
+     * @return false at the end of the payload, or when framing is lost
+     *         (then `frame` holds the lost frame's index and offset)
+     */
+    bool
+    next(Frame &frame)
+    {
+        if (!counted_ || lost_ || reader_.done())
+            return false;
+        frame.index = index_++;
+        frame.offset = reader_.pos();
+        uint64_t len = 0;
+        // Overflow-safe frame guard: the length comes straight from the
+        // medium, so a rotted value near 2^64 must not wrap the sum
+        // past the real bound.
+        if (!reader_.u64(len) || reader_.remaining() < 8 ||
+            len > reader_.remaining() - 8) {
+            lost_ = true;
+            return false;
+        }
+        frame.body = data_ + reader_.pos();
+        frame.length = static_cast<std::size_t>(len);
+        reader_.skip(len);
+        reader_.u64(frame.crc);
+        return true;
     }
-    span.located = true;
-    span.crcOk = header_ok &&
-                 fnv1a(bytes.data() + span.offset, span.length) == crc;
-    return span;
+
+  private:
+    const char *data_;
+    ByteReader reader_;
+    uint64_t count_ = 0;
+    uint64_t index_ = 0;
+    bool counted_ = false;
+    bool lost_ = false;
+};
+
+/** v1 single-copy image: `[magicver][checksum][payload]`. */
+bool
+parseLegacyV1(const std::vector<char> &bytes,
+              std::map<std::string, EnrollmentRecord> &out)
+{
+    if (bytes.size() < 16)
+        return false;
+    ByteReader hr(bytes.data(), 16);
+    uint64_t magic_ver = 0, checksum = 0;
+    hr.u64(magic_ver);
+    hr.u64(checksum);
+    if ((magic_ver & 0xffffffffu) != kStoreMagic ||
+        (magic_ver >> 32) != kLegacyVersion) {
+        return false;
+    }
+    if (fnv1a(bytes.data() + 16, bytes.size() - 16) != checksum)
+        return false;
+
+    // v1 records carry no per-record framing.
+    ByteReader pr(bytes.data() + 16, bytes.size() - 16);
+    uint64_t count = 0;
+    if (!pr.u64(count))
+        return false;
+    std::map<std::string, EnrollmentRecord> loaded;
+    for (uint64_t i = 0; i < count; ++i) {
+        EnrollmentRecord rec;
+        if (!readRecordBody(pr, kLegacyVersion, rec))
+            return false;
+        loaded[rec.id] = std::move(rec);
+    }
+    if (!pr.done())
+        return false;
+    out = std::move(loaded);
+    return true;
 }
 
 } // namespace
 
 std::vector<char>
-buildShardImage(const std::map<std::string, EnrollmentRecord> &records)
+encodeRecordBody(const EnrollmentRecord &record)
 {
-    const std::vector<char> payload = buildPayload(records);
+    std::vector<char> body;
+    putRecordBody(body, record, kShardVersion);
+    return body;
+}
+
+bool
+decodeRecordBody(const std::vector<char> &body, EnrollmentRecord &out)
+{
+    return decodeBody(body.data(), body.size(), kShardVersion, out);
+}
+
+BankSpan
+locateBank(const std::vector<char> &bytes, bool bank_b, uint32_t version)
+{
+    BankSpan span;
+    const std::size_t size = bytes.size();
+    // Bank A's payload may run to the end of the file; bank B's must
+    // also clear bank A's header.
+    const std::size_t frames = (bank_b ? 2 : 1) * kBankHeaderSize;
+    if (size < frames)
+        return span;
+    ByteReader hr(bytes.data() + (bank_b ? size - kBankHeaderSize : 0),
+                  kBankHeaderSize);
+    uint64_t magic_ver = 0, len = 0, crc = 0;
+    if (bank_b) {
+        hr.u64(crc);
+        hr.u64(len);
+        hr.u64(magic_ver);
+    } else {
+        hr.u64(magic_ver);
+        hr.u64(len);
+        hr.u64(crc);
+    }
+    span.headerOk = (magic_ver & 0xffffffffu) == kStoreMagic &&
+                    (magic_ver >> 32) == version && len <= size - frames;
+    if (span.headerOk)
+        span.length = static_cast<std::size_t>(len);
+    else if (size >= 2 * kBankHeaderSize)
+        span.length = (size - 2 * kBankHeaderSize) / 2; // midpoint
+    else
+        return span;
+    span.offset = bank_b ? size - kBankHeaderSize - span.length
+                         : kBankHeaderSize;
+    span.located = true;
+    span.crcOk = span.headerOk &&
+                 fnv1a(bytes.data() + span.offset, span.length) == crc;
+    return span;
+}
+
+WalkResult
+walkPayload(const char *data, std::size_t n, uint32_t version)
+{
+    WalkResult result;
+    FrameWalker walker(data, n);
+    result.declaredCount = walker.count();
+    Frame frame;
+    while (walker.next(frame)) {
+        EnrollmentRecord rec;
+        if (frame.intact() &&
+            decodeBody(frame.body, frame.length, version, rec)) {
+            result.records.push_back(std::move(rec));
+            continue;
+        }
+        RecordDamage dmg;
+        dmg.index = frame.index;
+        dmg.offset = frame.offset;
+        // Best-effort id for the report: the id string leads the body
+        // and often survives a corruption that lands elsewhere.
+        ByteReader br(frame.body, frame.length);
+        br.str(dmg.id);
+        result.damaged.push_back(std::move(dmg));
+        result.records.emplace_back(std::nullopt);
+    }
+    if (walker.lost()) {
+        RecordDamage dmg;
+        dmg.index = frame.index;
+        dmg.offset = frame.offset;
+        result.damaged.push_back(std::move(dmg));
+    }
+    result.clean = walker.counted() && result.damaged.empty() &&
+                   result.records.size() == result.declaredCount;
+    return result;
+}
+
+std::vector<char>
+buildShardImage(const std::map<std::string, EnrollmentRecord> &records,
+                uint32_t version)
+{
+    // Payload = record count, then per record [bodyLen][body][crc].
+    std::vector<char> payload;
+    std::vector<char> body;
+    putU64(payload, records.size());
+    for (const auto &[id, record] : records) {
+        body.clear();
+        putRecordBody(body, record, version);
+        putU64(payload, body.size());
+        payload.insert(payload.end(), body.begin(), body.end());
+        putU64(payload, fnv1a(body));
+    }
     const uint64_t magic_ver =
-        (static_cast<uint64_t>(kShardVersion) << 32) | kStoreMagic;
+        (static_cast<uint64_t>(version) << 32) | kStoreMagic;
     const uint64_t crc = fnv1a(payload);
 
     std::vector<char> image;
@@ -349,33 +422,34 @@ buildShardImage(const std::map<std::string, EnrollmentRecord> &records)
 
 ShardParseReport
 parseShardImage(const std::vector<char> &bytes,
-                std::map<std::string, EnrollmentRecord> &out)
+                std::map<std::string, EnrollmentRecord> &out,
+                uint32_t version)
 {
     ShardParseReport report;
     out.clear();
-    if (bytes.size() < 2 * kBankHeaderSize) {
+    if (bytes.size() < kBankHeaderSize) {
         report.detail = "image too short";
         return report;
     }
 
-    const BankSpan a = locateBank(bytes, false);
-    const BankSpan b = locateBank(bytes, true);
+    const BankSpan a = locateBank(bytes, false, version);
+    const BankSpan b = locateBank(bytes, true, version);
     // Bank health is reported independently of which bank serves the
     // read: the background scrub repairs latent standby-bank damage
     // long before the primary bank fails too.
-    report.bankAHealthy = a.located && a.crcOk;
-    report.bankBHealthy = b.located && b.crcOk;
+    report.bankAHealthy = a.crcOk;
+    report.bankBHealthy = b.crcOk;
 
     // Strict paths first: a verified whole-bank CRC means every record
     // inside is intact, so the walk is just deserialization.
     for (int bank = 0; bank < 2; ++bank) {
         const BankSpan &span = bank == 0 ? a : b;
-        if (!span.located || !span.crcOk)
+        if (!span.crcOk)
             continue;
         WalkResult walk =
-            walkPayload(bytes.data() + span.offset, span.length);
+            walkPayload(bytes.data() + span.offset, span.length, version);
         if (!walk.clean)
-            continue; // CRC collision with mangled framing: salvage
+            continue; // CRC collision with mangled framing
         for (auto &rec : walk.records) {
             EnrollmentRecord r = std::move(*rec);
             out[r.id] = std::move(r);
@@ -388,16 +462,20 @@ parseShardImage(const std::vector<char> &bytes,
             report.detail = "bank A damaged; recovered from bank B";
         return report;
     }
+    if (version < kShardVersion) {
+        report.detail = "both banks damaged (or bad magic/version)";
+        return report;
+    }
 
     // Salvage: both whole-bank checks failed. Recover per record from
     // both banks; index i of bank A is the same record as index i of
     // bank B, so a record is lost only when both frames are damaged.
     WalkResult wa;
     if (a.located)
-        wa = walkPayload(bytes.data() + a.offset, a.length);
+        wa = walkPayload(bytes.data() + a.offset, a.length, version);
     WalkResult wb;
     if (b.located)
-        wb = walkPayload(bytes.data() + b.offset, b.length);
+        wb = walkPayload(bytes.data() + b.offset, b.length, version);
     report.damagedA = wa.damaged;
     report.damagedB = wb.damaged;
 
@@ -460,39 +538,20 @@ int
 findShardRecord(const std::vector<char> &bytes, const std::string &id,
                 EnrollmentRecord &out)
 {
-    if (bytes.size() < 2 * kBankHeaderSize)
-        return -1;
     bool damaged_hit = false;
     bool complete_walk = false;
     for (int bank = 0; bank < 2; ++bank) {
-        const BankSpan span = locateBank(bytes, bank == 1);
+        const BankSpan span = locateBank(bytes, bank == 1, kShardVersion);
         if (!span.located)
             continue;
-        ByteReader pr(bytes.data() + span.offset, span.length);
-        uint64_t count = 0;
-        if (!pr.u64(count))
+        FrameWalker walker(bytes.data() + span.offset, span.length);
+        if (!walker.counted())
             continue;
         bool walked_all = true;
-        while (!pr.done()) {
-            uint64_t body_len = 0;
-            // Overflow-safe: a rotted length field near 2^64 would
-            // wrap `body_len + 8` past the bound and let the reader
-            // below run off the shard buffer.
-            if (!pr.u64(body_len) || pr.remaining() < 8 ||
-                body_len > pr.remaining() - 8) {
-                walked_all = false;
-                break;
-            }
-            const char *body = bytes.data() + span.offset + pr.pos();
-            if (!pr.skip(body_len)) {
-                walked_all = false;
-                break;
-            }
-            uint64_t crc = 0;
-            pr.u64(crc);
-
+        Frame frame;
+        while (walker.next(frame)) {
             // Peek the id (leads the body) before paying for the CRC.
-            ByteReader br(body, body_len);
+            ByteReader br(frame.body, frame.length);
             std::string rec_id;
             if (!br.str(rec_id)) {
                 walked_all = false; // mangled frame: ids beyond are
@@ -500,160 +559,29 @@ findShardRecord(const std::vector<char> &bytes, const std::string &id,
             }
             if (rec_id != id)
                 continue;
-            if (fnv1a(body, body_len) == crc) {
-                std::vector<char> copy(body, body + body_len);
-                if (decodeRecordBody(copy, out))
-                    return 1;
-            }
+            if (frame.intact() &&
+                decodeBody(frame.body, frame.length, kShardVersion, out))
+                return 1;
             damaged_hit = true;
         }
-        complete_walk = complete_walk || walked_all;
+        complete_walk = complete_walk || (walked_all && !walker.lost());
     }
     if (damaged_hit)
         return -1;
     return complete_walk ? 0 : -1;
 }
 
-namespace {
-
-constexpr uint32_t kLegacyV1 = 1;
-constexpr uint32_t kLegacyV2 = 2;
-
-/** v1/v2 record body: [channel][label][raw][residual]. */
-bool
-decodeLegacyBody(ByteReader &br, EnrollmentRecord &out)
-{
-    EnrollmentRecord rec;
-    std::string label;
-    Waveform raw, residual;
-    if (!br.str(rec.id) || !br.str(label) || !br.waveform(raw) ||
-        !br.waveform(residual)) {
-        return false;
-    }
-    if (raw.empty())
-        return false;
-    rec.fp = Fingerprint::fromParts(std::move(raw), std::move(residual),
-                                    std::move(label));
-    out = std::move(rec);
-    return true;
-}
-
-/** Strict v2 bank payload: count, then [bodyLen][body][crc] frames. */
-bool
-parseLegacyPayload(const char *data, std::size_t n,
-                   std::map<std::string, EnrollmentRecord> &out)
-{
-    ByteReader pr(data, n);
-    uint64_t count = 0;
-    if (!pr.u64(count))
-        return false;
-    std::map<std::string, EnrollmentRecord> loaded;
-    for (uint64_t i = 0; i < count; ++i) {
-        uint64_t body_len = 0, crc = 0;
-        std::vector<char> body;
-        if (!pr.u64(body_len) || !pr.raw(body, body_len) ||
-            !pr.u64(crc) || fnv1a(body) != crc) {
-            return false;
-        }
-        ByteReader br(body);
-        EnrollmentRecord rec;
-        if (!decodeLegacyBody(br, rec) || !br.done())
-            return false;
-        loaded[rec.id] = std::move(rec);
-    }
-    if (!pr.done())
-        return false;
-    out = std::move(loaded);
-    return true;
-}
-
-bool
-parseLegacyV1(const std::vector<char> &bytes,
-              std::map<std::string, EnrollmentRecord> &out)
-{
-    if (bytes.size() < 16)
-        return false;
-    ByteReader hr(bytes.data(), 16);
-    uint64_t magic_ver = 0, checksum = 0;
-    hr.u64(magic_ver);
-    hr.u64(checksum);
-    if ((magic_ver & 0xffffffffu) != kStoreMagic ||
-        (magic_ver >> 32) != kLegacyV1) {
-        return false;
-    }
-    if (fnv1a(bytes.data() + 16, bytes.size() - 16) != checksum)
-        return false;
-
-    // v1 records carry no per-record framing.
-    ByteReader pr(bytes.data() + 16, bytes.size() - 16);
-    uint64_t count = 0;
-    if (!pr.u64(count))
-        return false;
-    std::map<std::string, EnrollmentRecord> loaded;
-    for (uint64_t i = 0; i < count; ++i) {
-        EnrollmentRecord rec;
-        if (!decodeLegacyBody(pr, rec))
-            return false;
-        loaded[rec.id] = std::move(rec);
-    }
-    if (!pr.done())
-        return false;
-    out = std::move(loaded);
-    return true;
-}
-
-bool
-parseLegacyV2(const std::vector<char> &bytes,
-              std::map<std::string, EnrollmentRecord> &out)
-{
-    if (bytes.size() < 2 * kBankHeaderSize)
-        return false;
-
-    // Bank A from the front.
-    {
-        uint64_t magic_ver = readU64At(bytes, 0);
-        uint64_t len = readU64At(bytes, 8);
-        uint64_t crc = readU64At(bytes, 16);
-        if ((magic_ver & 0xffffffffu) == kStoreMagic &&
-            (magic_ver >> 32) == kLegacyV2 &&
-            len <= bytes.size() - kBankHeaderSize &&
-            fnv1a(bytes.data() + kBankHeaderSize, len) == crc &&
-            parseLegacyPayload(bytes.data() + kBankHeaderSize, len,
-                               out)) {
-            return true;
-        }
-    }
-
-    // Bank B from the end, trailer fields reversed.
-    const std::size_t t = bytes.size() - kBankHeaderSize;
-    uint64_t crc = readU64At(bytes, t);
-    uint64_t len = readU64At(bytes, t + 8);
-    uint64_t magic_ver = readU64At(bytes, t + 16);
-    if ((magic_ver & 0xffffffffu) != kStoreMagic ||
-        (magic_ver >> 32) != kLegacyV2 ||
-        len > bytes.size() - kBankHeaderSize) {
-        return false;
-    }
-    const std::size_t payload_end = bytes.size() - kBankHeaderSize;
-    if (payload_end < len)
-        return false;
-    if (fnv1a(bytes.data() + (payload_end - len), len) != crc)
-        return false;
-    return parseLegacyPayload(bytes.data() + (payload_end - len), len,
-                              out);
-}
-
-} // namespace
-
 int
 parseLegacyImage(const std::vector<char> &bytes,
                  std::map<std::string, EnrollmentRecord> &out)
 {
     if (parseLegacyV1(bytes, out))
-        return 1;
-    if (parseLegacyV2(bytes, out))
-        return 2;
-    return 0;
+        return kLegacyVersion;
+    std::map<std::string, EnrollmentRecord> records;
+    if (!parseShardImage(bytes, records, kEpromVersion).ok)
+        return 0;
+    out = std::move(records);
+    return kEpromVersion;
 }
 
 uint64_t

@@ -1,11 +1,10 @@
 /**
  * @file
- * Byte codec shared by every enrollment persistence format.
- *
- * Three formats read through this module:
+ * The enrollment image codec: the one module that knows every
+ * enrollment persistence format.
  *
  *  - v1: legacy single-copy EPROM image (read-only compatibility).
- *  - v2: the dual-bank EnrollmentStore image (PR 2).
+ *  - v2: the dual-bank EPROM image EnrollmentStore writes.
  *  - v3: EnrollmentDb shard images — the same dual-bank + per-record
  *    CRC discipline, with a richer record body (nominal response,
  *    lifecycle flags, generation counter) so a fleet channel can be
@@ -16,10 +15,19 @@
  * the end with the trailer fields mirrored in reverse, so the two
  * banks never share bytes and any single corrupted byte damages
  * exactly one of them. Inside a payload every record is individually
- * CRC-framed (`[bodyLen][body][fnv1a(body)]`), which is what lets the
- * salvage path say "record 3 at offset 217 is bad" instead of "bank A
- * is bad" — and lets a reader recover every intact record from a
- * payload whose whole-bank checksum no longer verifies.
+ * CRC-framed (`[bodyLen][body][fnv1a(body)]`), which is what lets a
+ * reader say "record 3 at offset 217 is bad" instead of "bank A is
+ * bad". v2 and v3 share one builder, one bank locator and one
+ * record-frame walker; the version selects the record body and the
+ * recovery policy:
+ *
+ *  - bank A is located from its header whenever its declared payload
+ *    fits behind it, so a cut anywhere past bank A's payload (even
+ *    one that leaves bank B's trailer short) costs no record;
+ *  - v2 images are all-or-nothing per bank: bank A, else bank B, else
+ *    nothing — the EPROM never loads a partial calibration set;
+ *  - v3 shard images add per-record salvage across both banks when
+ *    neither bank verifies whole.
  */
 
 #ifndef DIVOT_STORE_CODEC_HH
@@ -27,6 +35,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,10 +102,17 @@ struct EnrollmentRecord
     std::size_t residentBytes() const;
 };
 
-/** Serialize / parse one record body (no CRC frame). */
+/** Serialize / parse one v3 record body (no CRC frame). */
 std::vector<char> encodeRecordBody(const EnrollmentRecord &record);
 bool decodeRecordBody(const std::vector<char> &body,
                       EnrollmentRecord &out);
+
+/** Magic of every enrollment image; the high word is the version. */
+constexpr uint32_t kStoreMagic = 0x44495654; // "DIVT"
+constexpr uint32_t kLegacyVersion = 1; //!< single-copy EPROM image
+constexpr uint32_t kEpromVersion = 2;  //!< dual-bank EPROM image
+constexpr uint32_t kShardVersion = 3;  //!< dual-bank shard image
+constexpr std::size_t kBankHeaderSize = 24; // magic/ver + len + crc
 
 /** Where damage landed, for operator-facing reports. */
 struct RecordDamage
@@ -123,22 +139,66 @@ struct ShardParseReport
     std::string detail;     //!< human-readable cause
 };
 
-/** Build a v3 dual-bank shard image from a sorted record map. */
-std::vector<char>
-buildShardImage(const std::map<std::string, EnrollmentRecord> &records);
+/** Where one bank's payload sits inside a dual-bank image. */
+struct BankSpan
+{
+    bool located = false;  //!< span lies inside the image
+    bool headerOk = false; //!< magic/version match and the length fits
+    bool crcOk = false;    //!< header ok and the whole-bank CRC verifies
+    std::size_t offset = 0;
+    std::size_t length = 0;
+};
 
 /**
- * Parse a v3 shard image: bank A strict, bank B strict, then
- * per-record salvage across both banks. Salvage recovers every record
- * whose CRC frame verifies in either bank; frames damaged in both are
- * reported in `unrecoverable` (by payload index/offset, with the id
- * when the body is still parseable).
+ * Locate bank A (or B) of a `version` image. A header is trusted when
+ * its magic/version match and its declared payload fits: bank A's
+ * between its header and the end of the file, bank B's between bank
+ * A's header and its own trailer. Otherwise the span falls back to the
+ * structural midpoint (both banks carry the same payload, so an
+ * undamaged image splits evenly between the two 24-byte frames) for
+ * salvage walks.
+ */
+BankSpan locateBank(const std::vector<char> &bytes, bool bank_b,
+                    uint32_t version);
+
+/** Result of a lenient frame walk over one bank's payload bytes. */
+struct WalkResult
+{
+    uint64_t declaredCount = 0; //!< leading count field (0 if absent)
+    std::vector<std::optional<EnrollmentRecord>> records; //!< by index
+    std::vector<RecordDamage> damaged; //!< in walk order
+    bool clean = false; //!< every frame verified and walk consumed all
+};
+
+/**
+ * Walk a payload's record frames, decoding `version` bodies and
+ * recovering every record whose CRC verifies. Damage is localized: a
+ * bad CRC with plausible framing skips to the next frame (its slot in
+ * `records` stays empty); implausible framing ends the walk with a
+ * last `damaged` entry that has no slot (frames cannot be
+ * resynchronized without their length prefix).
+ */
+WalkResult walkPayload(const char *data, std::size_t n, uint32_t version);
+
+/** Build a dual-bank image (v3 shard, or v2 EPROM) from a record map. */
+std::vector<char>
+buildShardImage(const std::map<std::string, EnrollmentRecord> &records,
+                uint32_t version = kShardVersion);
+
+/**
+ * Parse a dual-bank image: bank A strict, then bank B strict. For a
+ * v3 shard, per-record salvage across both banks follows: it recovers
+ * every record whose CRC frame verifies in either bank, and frames
+ * damaged in both are reported in `unrecoverable` (by payload
+ * index/offset, with the id when the body is still parseable). A v2
+ * image never salvages.
  *
  * @return report; `out` holds the recovered records (empty on ok=false)
  */
 ShardParseReport
 parseShardImage(const std::vector<char> &bytes,
-                std::map<std::string, EnrollmentRecord> &out);
+                std::map<std::string, EnrollmentRecord> &out,
+                uint32_t version = kShardVersion);
 
 /**
  * Scan a shard image for a single record without materializing the
@@ -152,21 +212,16 @@ int findShardRecord(const std::vector<char> &bytes,
                     const std::string &id, EnrollmentRecord &out);
 
 /**
- * Parse a legacy image into v3 records: v1 (single-copy, whole-image
- * checksum) or v2 (the dual-bank EnrollmentStore format, bank A then
- * bank B). Imported records carry an empty nominal response and zero
- * flags/generation — the fields the old formats never stored.
+ * Parse an EPROM image into records: v1 (single-copy, whole-image
+ * checksum) or v2 (dual-bank, bank A then bank B). Its records carry
+ * an empty nominal response and zero flags/generation — the fields
+ * the EPROM formats never stored.
  *
  * @return detected format version (1 or 2) on success, 0 when the
  *         bytes parse as neither (out untouched)
  */
 int parseLegacyImage(const std::vector<char> &bytes,
                      std::map<std::string, EnrollmentRecord> &out);
-
-/** Magic/version constants shared with the legacy EnrollmentStore. */
-constexpr uint32_t kStoreMagic = 0x44495654; // "DIVT"
-constexpr uint32_t kShardVersion = 3;
-constexpr std::size_t kBankHeaderSize = 24; // magic/ver + len + crc
 
 /**
  * 64-bit stable hash of a channel id (FNV-1a): shard selection must

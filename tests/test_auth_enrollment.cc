@@ -267,6 +267,26 @@ TEST(EnrollmentStore, CorruptionFuzzEveryOffset)
         ASSERT_DOUBLE_EQ(loaded.lookup("a")->raw()[2], 3.0)
             << "bit flip @ " << pos;
     }
+
+    // Stuck-at-1 window: eight 0xFF bytes at every offset, enough to
+    // turn any length field into ~2^64. A window inside one bank
+    // leaves the other bank intact, so those trials must recover; a
+    // window straddling the bank boundary may fail, but only cleanly.
+    const std::size_t bankA = 24 + (image.size() - 48) / 2;
+    for (std::size_t pos = 0; pos + 8 <= image.size(); ++pos) {
+        std::string bad = image;
+        bad.replace(pos, 8, 8, '\xff');
+        writeImage(bad);
+        checkTrial("stuck-at-1", pos);
+        if (pos + 8 <= bankA || pos >= bankA) {
+            EnrollmentStore loaded;
+            const EpromLoadReport rep = loaded.loadWithReport(path, false);
+            ASSERT_TRUE(rep.ok) << "stuck-at-1 @ " << pos << ": "
+                                << rep.detail;
+            ASSERT_DOUBLE_EQ(loaded.lookup("a")->raw()[2], 3.0)
+                << "stuck-at-1 @ " << pos;
+        }
+    }
     std::remove(path.c_str());
 }
 

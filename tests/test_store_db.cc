@@ -162,6 +162,42 @@ TEST(StoreCodec, FindShardRecordStatuses)
     EXPECT_EQ(findShardRecord(image, "zz", out), 0);
 }
 
+TEST(StoreCodec, VersionSelectsBodyAndSalvagePolicy)
+{
+    std::map<std::string, EnrollmentRecord> records;
+    records["aa"] = testRecord("aa", 1);
+    records["bb"] = testRecord("bb", 2);
+    for (const uint32_t version : {kEpromVersion, kShardVersion}) {
+        std::vector<char> image = buildShardImage(records, version);
+        std::map<std::string, EnrollmentRecord> back;
+        ASSERT_TRUE(parseShardImage(image, back, version).ok);
+        // A v2 body stops after the residual: nominal, flags and
+        // generation read back as defaults.
+        EXPECT_EQ(back.at("aa").nominal.empty(),
+                  version == kEpromVersion);
+        EXPECT_EQ(back.at("aa").generation,
+                  version == kEpromVersion ? 0u : 1u);
+
+        // Break "aa" in bank A and "bb" in bank B: each record keeps
+        // one intact frame, but neither bank verifies whole.
+        const std::string text(image.begin(), image.end());
+        const std::size_t aa = text.find("aa");
+        const std::size_t bb = text.rfind("bb");
+        image[aa + 20] = static_cast<char>(image[aa + 20] ^ 0x40);
+        image[bb + 20] = static_cast<char>(image[bb + 20] ^ 0x40);
+        const ShardParseReport report =
+            parseShardImage(image, back, version);
+        if (version == kShardVersion) {
+            EXPECT_TRUE(report.salvaged);
+            EXPECT_EQ(back.size(), 2u);
+        } else {
+            // The EPROM loads one whole bank or nothing.
+            EXPECT_FALSE(report.ok);
+            EXPECT_TRUE(back.empty());
+        }
+    }
+}
+
 TEST(StoreCodec, ChannelHashIsStable)
 {
     // Pinned values: shard routing must never change across builds
@@ -486,6 +522,58 @@ TEST(EnrollmentDbFaults, TruncationLosesTailNeverJunk)
     EXPECT_TRUE(report.ok);
     EXPECT_FALSE(report.fellBack);
     EXPECT_EQ(back.size(), okCount);
+}
+
+TEST(EnrollmentDbFaults, CutJustPastBankALosesNothing)
+{
+    const std::string dir = freshDir("db_cut_a");
+    EnrollmentDbConfig cfg = smallConfig(dir);
+    cfg.shards = 1;
+    std::vector<std::string> ids;
+    {
+        EnrollmentDb db(cfg);
+        ASSERT_TRUE(db.open());
+        for (int i = 0; i < 6; ++i) {
+            ids.push_back("c" + std::to_string(i));
+            ASSERT_TRUE(db.put(testRecord(ids.back(), i)));
+        }
+        ASSERT_TRUE(db.checkpoint());
+    }
+    const std::string shard = EnrollmentDb(cfg).shardPath(0);
+    std::vector<char> pristine;
+    ASSERT_TRUE(readFile(shard, pristine));
+    const std::size_t payload = (pristine.size() - 2 * kBankHeaderSize) / 2;
+
+    // Cut anywhere from the end of bank A's payload to just short of a
+    // whole bank-B trailer: bank A's header, payload and CRC are all
+    // intact, so every record must still read and the scrub must
+    // rebuild both banks without dropping one.
+    for (std::size_t k = 0; k < kBankHeaderSize; ++k) {
+        ASSERT_TRUE(atomicWriteFile(shard, pristine));
+        ASSERT_TRUE(truncateFile(shard, kBankHeaderSize + payload + k));
+
+        EnrollmentDb db(cfg);
+        ASSERT_TRUE(db.open());
+        for (const std::string &id : ids) {
+            EnrollmentRecord out;
+            ASSERT_EQ(db.get(id, out), DbGetStatus::Ok)
+                << id << " cut +" << k;
+            EXPECT_EQ(out.id, id);
+        }
+        const ScrubResult scrub = db.scrubShard(0);
+        EXPECT_TRUE(scrub.repaired) << "cut +" << k;
+        EXPECT_TRUE(scrub.lostIds.empty()) << "cut +" << k;
+        EXPECT_EQ(scrub.lostUnnamed, 0u) << "cut +" << k;
+
+        std::vector<char> image;
+        ASSERT_TRUE(readFile(shard, image));
+        EXPECT_EQ(image, pristine) << "cut +" << k;
+        for (const std::string &id : ids) {
+            EnrollmentRecord out;
+            EXPECT_EQ(db.get(id, out), DbGetStatus::Ok)
+                << id << " after scrub, cut +" << k;
+        }
+    }
 }
 
 TEST(EnrollmentDb, ScrubStepWalksShardsRoundRobin)
