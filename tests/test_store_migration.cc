@@ -334,6 +334,44 @@ TEST(StoreFormatPins, DivqRequestAndResponseFrames)
     EXPECT_EQ(fnv1a(response), 0xecab42d0d9216464ULL);
 }
 
+/**
+ * Point-lookup oracle: every findShardRecord answer over a damage
+ * sweep of a 3-record v3 image (a 0x5A XOR at each offset, then an
+ * 8-byte stuck-at-1 window at each offset) for the three ids and one
+ * absent id, folded into one digest with the body of every hit.
+ */
+TEST(StoreFormatPins, FindShardRecordDamageSweep)
+{
+    std::map<std::string, EnrollmentRecord> records = originalRecords();
+    records.erase("mig3");
+    const std::vector<char> pristine = buildShardImage(records);
+    ASSERT_EQ(pristine.size(), 1418u);
+
+    const char *const ids[] = {"mig0", "mig1", "mig2", "absent"};
+    std::vector<char> trace;
+    const auto lookupAll = [&](const std::vector<char> &image) {
+        for (const char *id : ids) {
+            EnrollmentRecord out;
+            const int code = findShardRecord(image, id, out);
+            putU64(trace, static_cast<uint64_t>(code));
+            if (code == 1)
+                putU64(trace, fnv1a(encodeRecordBody(out)));
+        }
+    };
+    for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
+        std::vector<char> image = pristine;
+        image[pos] = static_cast<char>(image[pos] ^ 0x5a);
+        lookupAll(image);
+    }
+    for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
+        std::vector<char> image = pristine;
+        for (std::size_t i = pos; i < pos + 8 && i < image.size(); ++i)
+            image[i] = static_cast<char>(0xff);
+        lookupAll(image);
+    }
+    EXPECT_EQ(fnv1a(trace), 0x454f931637c9b2c5ULL);
+}
+
 // --------------------------------------------------------------------
 // Journal-tail fuzz: whatever lands after (or inside) the framed
 // entries, open() recovers the intact prefix and discards the rest.
