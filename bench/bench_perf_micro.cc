@@ -2,18 +2,29 @@
  * @file
  * PERF — google-benchmark microbenchmarks of the simulator's hot
  * paths: lattice and Born reflection rendering, a full iTDR
- * measurement, fingerprint similarity, the APC inverse table, and
- * ROC analysis. These bound how fast the paper-scale experiments can
- * run and quantify the Born-vs-lattice ablation speed side.
+ * measurement, fingerprint similarity, the APC inverse table, ROC
+ * analysis, and the enrollment store's point-lookup read path. These
+ * bound how fast the paper-scale experiments can run and quantify the
+ * Born-vs-lattice ablation speed side.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "analog/comparator.hh"
 #include "fingerprint/fingerprint.hh"
 #include "itdr/apc.hh"
 #include "itdr/itdr.hh"
 #include "itdr/kernels/kernels.hh"
+#include "store/codec.hh"
+#include "store/enrollment_db.hh"
+#include "store/io.hh"
 #include "telemetry/telemetry.hh"
 #include "txline/born.hh"
 #include "txline/lattice.hh"
@@ -407,6 +418,153 @@ BM_RocAnalysis(benchmark::State &state)
         benchmark::DoNotOptimize(analyzeRoc(genuine, impostor));
 }
 BENCHMARK(BM_RocAnalysis)->Arg(1024)->Arg(8192);
+
+// --------------------------------------------------------------------
+// Store read path. A store-backed probe without a shard cache pays one
+// shard-image read, a frame scan and the decode of one record. Records
+// are physical size: three 340-sample waveforms each, so eight make a
+// ~130 KB shard image, the size of a shard of 25 cm lines in a
+// 64-channel, 8-shard fleet.
+
+constexpr std::size_t kPhysicalSamples = 340;
+constexpr int kRecordsPerShard = 8;
+
+std::map<std::string, store::EnrollmentRecord>
+physicalShard()
+{
+    Rng rng(23);
+    const auto wave = [&rng] {
+        std::vector<double> samples(kPhysicalSamples);
+        for (double &x : samples)
+            x = rng.gaussian(0.0, 1e-3);
+        return Waveform(1e-12, std::move(samples));
+    };
+    std::map<std::string, store::EnrollmentRecord> records;
+    for (int i = 0; i < kRecordsPerShard; ++i) {
+        store::EnrollmentRecord rec;
+        rec.id = "bench" + std::to_string(i);
+        Waveform raw = wave();
+        Waveform residual = wave();
+        rec.fp = Fingerprint::fromParts(std::move(raw),
+                                        std::move(residual), rec.id);
+        rec.nominal = wave();
+        rec.generation = 1;
+        records[rec.id] = std::move(rec);
+    }
+    return records;
+}
+
+/** An empty directory under the system temp dir. */
+std::string
+freshTempDir(const char *name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        (std::string(name) + "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    return dir.string();
+}
+
+void
+BM_StoreReadFile(benchmark::State &state)
+{
+    const std::string dir = freshTempDir("divot_bm_readfile");
+    const std::string path = dir + "/image.bin";
+    const std::size_t size = static_cast<std::size_t>(state.range(0));
+    if (!store::atomicWriteFile(path, std::vector<char>(size, 'x'))) {
+        state.SkipWithError("cannot write the input file");
+        return;
+    }
+    for (auto _ : state) {
+        // A fresh buffer per read, as every store reader has.
+        std::vector<char> bytes;
+        if (!store::readFile(path, bytes)) {
+            state.SkipWithError("read failed");
+            break;
+        }
+        benchmark::DoNotOptimize(bytes.data());
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            state.range(0));
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreReadFile)->Arg(8 << 10)->Arg(128 << 10)->Arg(1 << 20);
+
+void
+BM_StoreFindShardRecord(benchmark::State &state)
+{
+    const auto records = physicalShard();
+    const std::vector<char> image = store::buildShardImage(records);
+    std::vector<std::string> ids;
+    for (const auto &[id, rec] : records)
+        ids.push_back(id);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        store::EnrollmentRecord out;
+        if (store::findShardRecord(image, ids[next], out) != 1) {
+            state.SkipWithError("lookup missed");
+            break;
+        }
+        benchmark::DoNotOptimize(out.fp.raw().samples().data());
+        next = (next + 1) % ids.size();
+    }
+    state.counters["image_bytes"] = static_cast<double>(image.size());
+}
+BENCHMARK(BM_StoreFindShardRecord);
+
+void
+BM_StoreDbGet(benchmark::State &state)
+{
+    const auto records = physicalShard();
+    store::EnrollmentDbConfig cfg;
+    cfg.directory = freshTempDir("divot_bm_dbget");
+    cfg.shards = 1;
+    cfg.shardCacheBytes = 0; // every get reads and scans the image
+    {
+        store::EnrollmentDb db(cfg);
+        bool written = db.open();
+        for (const auto &[id, rec] : records)
+            written = written && db.put(rec);
+        if (!written || !db.checkpoint()) {
+            state.SkipWithError("cannot write the shard image");
+            std::filesystem::remove_all(cfg.directory);
+            return;
+        }
+        std::vector<std::string> ids;
+        for (const auto &[id, rec] : records)
+            ids.push_back(id);
+        std::size_t next = 0;
+        for (auto _ : state) {
+            store::EnrollmentRecord out;
+            if (db.get(ids[next], out) != store::DbGetStatus::Ok) {
+                state.SkipWithError("get missed");
+                break;
+            }
+            benchmark::DoNotOptimize(out.fp.raw().samples().data());
+            next = (next + 1) % ids.size();
+        }
+        state.counters["image_bytes"] =
+            static_cast<double>(store::fileSize(db.shardPath(0)));
+    }
+    std::filesystem::remove_all(cfg.directory);
+}
+BENCHMARK(BM_StoreDbGet);
+
+void
+BM_StoreParseShardImage(benchmark::State &state)
+{
+    const std::vector<char> image =
+        store::buildShardImage(physicalShard());
+    for (auto _ : state) {
+        std::map<std::string, store::EnrollmentRecord> out;
+        benchmark::DoNotOptimize(store::parseShardImage(image, out).ok);
+        benchmark::DoNotOptimize(out.size());
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(image.size()));
+}
+BENCHMARK(BM_StoreParseShardImage);
 
 } // namespace
 } // namespace divot

@@ -315,8 +315,17 @@ decodeRecordBody(const std::vector<char> &body, EnrollmentRecord &out)
     return decodeBody(body.data(), body.size(), kShardVersion, out);
 }
 
+namespace {
+
+/**
+ * The bank header parser behind locateBank: the span from the header
+ * (or the midpoint fallback) alone, with the declared whole-bank CRC
+ * in `crc`. `crcOk` stays false — hashing the payload is the caller's
+ * choice.
+ */
 BankSpan
-locateBank(const std::vector<char> &bytes, bool bank_b, uint32_t version)
+locateBankSpan(const std::vector<char> &bytes, bool bank_b,
+               uint32_t version, uint64_t &crc)
 {
     BankSpan span;
     const std::size_t size = bytes.size();
@@ -327,7 +336,7 @@ locateBank(const std::vector<char> &bytes, bool bank_b, uint32_t version)
         return span;
     ByteReader hr(bytes.data() + (bank_b ? size - kBankHeaderSize : 0),
                   kBankHeaderSize);
-    uint64_t magic_ver = 0, len = 0, crc = 0;
+    uint64_t magic_ver = 0, len = 0;
     if (bank_b) {
         hr.u64(crc);
         hr.u64(len);
@@ -348,6 +357,16 @@ locateBank(const std::vector<char> &bytes, bool bank_b, uint32_t version)
     span.offset = bank_b ? size - kBankHeaderSize - span.length
                          : kBankHeaderSize;
     span.located = true;
+    return span;
+}
+
+} // namespace
+
+BankSpan
+locateBank(const std::vector<char> &bytes, bool bank_b, uint32_t version)
+{
+    uint64_t crc = 0;
+    BankSpan span = locateBankSpan(bytes, bank_b, version, crc);
     span.crcOk = span.headerOk &&
                  fnv1a(bytes.data() + span.offset, span.length) == crc;
     return span;
@@ -541,7 +560,11 @@ findShardRecord(const std::vector<char> &bytes, const std::string &id,
     bool damaged_hit = false;
     bool complete_walk = false;
     for (int bank = 0; bank < 2; ++bank) {
-        const BankSpan span = locateBank(bytes, bank == 1, kShardVersion);
+        // Headers only: the matched frame's own CRC is the integrity
+        // check, so hashing the whole bank would buy nothing here.
+        uint64_t bank_crc = 0;
+        const BankSpan span =
+            locateBankSpan(bytes, bank == 1, kShardVersion, bank_crc);
         if (!span.located)
             continue;
         FrameWalker walker(bytes.data() + span.offset, span.length);

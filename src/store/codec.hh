@@ -156,7 +156,9 @@ struct BankSpan
  * A's header and its own trailer. Otherwise the span falls back to the
  * structural midpoint (both banks carry the same payload, so an
  * undamaged image splits evenly between the two 24-byte frames) for
- * salvage walks.
+ * salvage walks. `crcOk` hashes the whole located payload (the
+ * strict-read, scrub and EPROM-diagnosis verdict); findShardRecord
+ * shares the header parser but skips that hash.
  */
 BankSpan locateBank(const std::vector<char> &bytes, bool bank_b,
                     uint32_t version);
@@ -203,7 +205,12 @@ parseShardImage(const std::vector<char> &bytes,
 /**
  * Scan a shard image for a single record without materializing the
  * rest of the shard — the hydration hot path. Tries bank A's frame
- * walk first, then bank B's.
+ * walk first, then bank B's. Its cost is the bank headers, one walk
+ * over the frame length fields, and the CRC and decode of the one
+ * matching frame: no whole-bank hash runs, because the matched
+ * frame's own FNV-1a is the integrity check (a whole-bank CRC
+ * verdict would change no answer — a damaged frame elsewhere in the
+ * bank does not affect this record).
  *
  * @return 1 = found (out filled), 0 = provably absent, -1 = the
  *         record's frames are damaged in every readable bank

@@ -121,7 +121,12 @@ EnrollmentDb::open()
         if (fileExists(shardPath(s)))
             journalCoversImages_ = false;
     }
-    replayJournal();
+    if (!replayJournal()) {
+        opened_ = false;
+        divot_warn("enrollment journal '%s' exists but cannot be read",
+                   journalPath().c_str());
+        return false;
+    }
     return true;
 }
 
@@ -262,7 +267,13 @@ bool
 EnrollmentDb::replayJournal()
 {
     std::vector<char> bytes;
-    if (!readFile(journalPath(), bytes) || bytes.empty())
+    if (!readFile(journalPath(), bytes)) {
+        // A journal that exists but cannot be read holds mutations no
+        // image has yet; opening without them would lose them at the
+        // next checkpoint's truncate.
+        return !fileExists(journalPath());
+    }
+    if (bytes.empty())
         return true;
 
     ByteReader pr(bytes);
@@ -336,24 +347,28 @@ EnrollmentDb::flushShard(unsigned shard, const StorageFault &fault)
         records = cached->records;
     } else {
         std::vector<char> bytes;
-        if (readFile(shardPath(shard), bytes) && !bytes.empty()) {
+        // An image that exists but cannot be read (EIO, EISDIR) is
+        // not an empty shard: flushing over it would drop its records.
+        bool unreadable = !readFile(shardPath(shard), bytes) &&
+                          fileExists(shardPath(shard));
+        if (!bytes.empty()) {
             // Lenient parse: keep whatever verifies in either bank.
             const ShardParseReport report =
                 parseShardImage(bytes, records);
-            if (imageUnreadable(report, records.size())) {
-                // The overlay must still flush, but overwriting an
-                // image that yielded nothing would silently destroy
-                // whatever it held. Move the bytes aside for forensics
-                // first; their channels surface as
-                // Missing/Unrecoverable and re-enroll.
-                if (cache_ != nullptr)
-                    cache_->invalidate(shard);
-                std::rename(shardPath(shard).c_str(),
-                            (shardPath(shard) + ".corrupt").c_str());
-                divot_warn("shard %u image unreadable; preserved as "
-                           "'%s.corrupt' before rewrite",
-                           shard, shardPath(shard).c_str());
-            }
+            unreadable = imageUnreadable(report, records.size());
+        }
+        if (unreadable) {
+            // The overlay must still flush, but overwriting an image
+            // that yielded nothing would silently destroy whatever it
+            // held. Move the bytes aside for forensics first; their
+            // channels surface as Missing/Unrecoverable and re-enroll.
+            if (cache_ != nullptr)
+                cache_->invalidate(shard);
+            std::rename(shardPath(shard).c_str(),
+                        (shardPath(shard) + ".corrupt").c_str());
+            divot_warn("shard %u image unreadable; preserved as "
+                       "'%s.corrupt' before rewrite",
+                       shard, shardPath(shard).c_str());
         }
     }
 
@@ -571,22 +586,31 @@ EnrollmentDb::get(const std::string &id, EnrollmentRecord &out)
             [this, shard](ShardView &v) {
                 return loadShardView(shard, v);
             });
-        if (view == nullptr)
-            return DbGetStatus::Missing; // no image on disk
-        const auto vit = view->records.find(id);
-        if (vit != view->records.end()) {
-            out = vit->second;
-            return DbGetStatus::Ok;
+        if (view != nullptr) {
+            const auto vit = view->records.find(id);
+            if (vit != view->records.end()) {
+                out = vit->second;
+                return DbGetStatus::Ok;
+            }
+            if (view->clean)
+                return DbGetStatus::Missing; // provable: whole image read
         }
-        if (view->clean)
-            return DbGetStatus::Missing; // provable: whole image read
         // Damaged image and the id isn't among the salvaged records:
         // only the targeted frame scan can distinguish "never written"
-        // from "written but damaged in every bank". Fall through.
+        // from "written but damaged in every bank". No view at all:
+        // the read below tells a missing image from an unreadable one.
+        // Fall through.
     }
 
     std::vector<char> bytes;
-    if (!readFile(shardPath(shard), bytes) || bytes.empty())
+    if (!readFile(shardPath(shard), bytes) &&
+        fileExists(shardPath(shard))) {
+        // The image is there but cannot be read: that proves nothing
+        // about the record, so it is damage, not absence.
+        tmGetDamaged_.add();
+        return DbGetStatus::Unrecoverable;
+    }
+    if (bytes.empty())
         return DbGetStatus::Missing;
     const int found = findShardRecord(bytes, id, out);
     if (found == 1)

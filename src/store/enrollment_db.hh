@@ -125,7 +125,8 @@ class EnrollmentDb
      * tail left by a crash (torn entries are detected by their CRC
      * frame and truncated away), and prime per-shard bookkeeping.
      *
-     * @return false when the directory is unusable
+     * @return false when the directory is unusable, or when a journal
+     *         exists but cannot be read (its mutations would be lost)
      */
     bool open();
 
@@ -159,7 +160,8 @@ class EnrollmentDb
      * Missing; a miss in a damaged view falls back to the targeted
      * frame scan so Missing vs Unrecoverable stays exact), else a
      * targeted frame scan of the shard image (no full-shard
-     * materialization).
+     * materialization). A shard image that exists but cannot be read
+     * (EIO, EISDIR) answers Unrecoverable, never Missing.
      */
     DbGetStatus get(const std::string &id, EnrollmentRecord &out);
 

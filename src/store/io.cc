@@ -1,9 +1,11 @@
 #include "store/io.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
+#include <new>
+#include <stdexcept>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -11,16 +13,63 @@
 
 namespace divot::store {
 
+namespace {
+
+/**
+ * Read `fd` to EOF into `out`, sized once from `size_hint` plus one
+ * spare byte for the read that reports EOF. Short reads and EINTR
+ * retry; a file that outgrew the hint (or reported size 0, as procfs
+ * does) regrows the buffer and keeps reading.
+ */
+bool
+readAllFd(int fd, std::size_t size_hint, std::vector<char> &out)
+{
+    out.resize(size_hint + 1);
+    std::size_t done = 0;
+    for (;;) {
+        if (done == out.size())
+            out.resize(std::max<std::size_t>(2 * out.size(), 4096));
+        const ssize_t n =
+            ::read(fd, out.data() + done, out.size() - done);
+        if (n == 0)
+            break;
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        done += static_cast<std::size_t>(n);
+    }
+    out.resize(done);
+    return true;
+}
+
+} // namespace
+
 bool
 readFile(const std::string &path, std::vector<char> &out)
 {
     out.clear();
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    out.assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-    return true;
+    struct stat st {};
+    bool ok = ::fstat(fd, &st) == 0;
+    try {
+        ok = ok && readAllFd(fd,
+                             st.st_size > 0
+                                 ? static_cast<std::size_t>(st.st_size)
+                                 : 0,
+                             out);
+    } catch (const std::bad_alloc &) {
+        ok = false; // a size no buffer can hold is a read error too
+    } catch (const std::length_error &) {
+        ok = false;
+    }
+    ::close(fd);
+    if (!ok)
+        out.clear();
+    return ok;
 }
 
 namespace {

@@ -16,7 +16,7 @@
  *    checkpoint — but the journal's CRC framing makes that loss look
  *    exactly like a torn append, which replay discards as "op never
  *    happened"; corruption is never loaded either way.
- *  - readFile: whole-file slurp.
+ *  - readFile: whole-file read, one sized read(2) loop to EOF.
  *
  * Each write-side primitive takes an optional WriteFault describing a
  * simulated storage failure (torn write at a byte offset, power cut
@@ -59,9 +59,20 @@ struct WriteFault
 };
 
 /**
- * Slurp a file.
+ * Read a whole file: open, fstat, and a read(2) loop into a buffer
+ * sized once from st_size — the cost of a point lookup is the bytes
+ * it reads, not a per-byte stream copy. The loop retries EINTR and
+ * short reads and runs to EOF rather than stopping at st_size, so a
+ * file that grew meanwhile, or one that reports size 0 (procfs), is
+ * read in full. Reentrant: no shared buffer, safe from concurrent
+ * reactor lanes.
  *
- * @return false when the file cannot be opened (out is cleared)
+ * Never throws. Any error — missing file, a directory (EISDIR), a
+ * failing medium (EIO), an unallocatable size — returns false with
+ * `out` cleared; callers that must tell "absent" from "unreadable"
+ * ask fileExists().
+ *
+ * @return true when every byte up to EOF was read
  */
 bool readFile(const std::string &path, std::vector<char> &out);
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "auth/enrollment.hh"
+#include "store/io.hh"
 
 namespace divot {
 namespace {
@@ -83,6 +84,20 @@ TEST(EnrollmentStore, LoadMissingFileFails)
 {
     EnrollmentStore store;
     EXPECT_FALSE(store.loadFromFile("/nonexistent/path/store.bin"));
+}
+
+TEST(EnrollmentStore, LoadDirectoryReportsNotReadable)
+{
+    // A directory opens but fails every read (EISDIR), as a failing
+    // medium's EIO does: the load reports it instead of throwing.
+    const std::string path = tmpPath("store_is_a_dir");
+    ASSERT_TRUE(store::ensureDir(path));
+    EnrollmentStore store;
+    EpromLoadReport report;
+    EXPECT_NO_THROW(report = store.loadWithReport(path));
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.detail, "file not readable");
+    store::removeFile(path);
 }
 
 TEST(EnrollmentStore, CorruptedBankAFallsBackToBankB)

@@ -176,6 +176,35 @@ TEST(FleetHydration, LostRecordDemotesToPendingReenroll)
     EXPECT_TRUE(probed1);
 }
 
+TEST(FleetHydration, UnreadableShardDemotesInsteadOfThrowing)
+{
+    ChannelScheduler fleet = makeFleet(2, 1);
+    const std::string dir = freshDbDir("hydr_eisdir");
+    store::EnrollmentDbConfig cfg = dbConfig(dir);
+    cfg.shards = 1;
+    store::EnrollmentDb db(cfg);
+    ASSERT_TRUE(db.open());
+    fleet.attachStore(&db, 1); // evict everything unpinned
+
+    // Tick 0 probes wire0 and evicts wire1's enrollment.
+    fleet.tick();
+    ASSERT_FALSE(fleet.channel(1).enrollmentResident());
+
+    // The shard path turns into a directory: every read of it fails
+    // (EISDIR), as on a medium returning EIO.
+    const std::string shard = db.shardPath(0);
+    ASSERT_TRUE(store::fileExists(shard));
+    ASSERT_TRUE(store::removeFile(shard));
+    ASSERT_TRUE(store::ensureDir(shard));
+
+    // Tick 1 selects wire1, cannot hydrate it, and fences it.
+    FleetRound round;
+    EXPECT_NO_THROW(round = fleet.tick());
+    EXPECT_EQ(fleet.channel(1).state(), AuthState::PendingReenroll);
+    EXPECT_EQ(round.fused.pendingReenrollWires, 1u);
+    store::removeFile(shard);
+}
+
 TEST(FleetHydration, IdleSlotsScrubTheStore)
 {
     ChannelScheduler fleet = makeFleet(2, 2);

@@ -718,6 +718,110 @@ TEST(EnrollmentDb, ScrubNeverWipesUnreadableShard)
     EXPECT_EQ(db.get("fresh", out), DbGetStatus::Ok);
 }
 
+TEST(StoreIo, ReadFileContract)
+{
+    const std::string dir = freshDir("io_read");
+    std::vector<char> out(3, 'x');
+    EXPECT_FALSE(readFile(dir + "/absent.bin", out));
+    EXPECT_TRUE(out.empty());
+
+    const std::string empty = dir + "/empty.bin";
+    ASSERT_TRUE(atomicWriteFile(empty, {}));
+    out.assign(3, 'x');
+    EXPECT_TRUE(readFile(empty, out));
+    EXPECT_TRUE(out.empty());
+
+    // Far past one read(2) call's worth, byte for byte.
+    Rng rng(0x5EAD);
+    std::vector<char> big(3u << 20);
+    for (char &c : big)
+        c = static_cast<char>(rng.uniformInt(256));
+    const std::string bigPath = dir + "/big.bin";
+    ASSERT_TRUE(atomicWriteFile(bigPath, big));
+    EXPECT_TRUE(readFile(bigPath, out));
+    EXPECT_TRUE(out == big);
+
+    // procfs reports st_size 0: the read runs to EOF, not to st_size.
+    EXPECT_EQ(fileSize("/proc/self/status"), 0);
+    EXPECT_TRUE(readFile("/proc/self/status", out));
+    EXPECT_FALSE(out.empty());
+
+    // A directory opens but fails every read (EISDIR): reported as
+    // false, never thrown.
+    out.assign(3, 'x');
+    bool read = true;
+    EXPECT_NO_THROW(read = readFile(dir, out));
+    EXPECT_FALSE(read);
+    EXPECT_TRUE(out.empty());
+    removeFile(empty);
+    removeFile(bigPath);
+}
+
+TEST(EnrollmentDbFaults, UnreadableShardIsDamageNotACrash)
+{
+    const std::string dir = freshDir("db_eisdir");
+    EnrollmentDbConfig cfg = smallConfig(dir);
+    cfg.shards = 1;
+    {
+        EnrollmentDb db(cfg);
+        ASSERT_TRUE(db.open());
+        ASSERT_TRUE(db.put(testRecord("d0", 1.0)));
+        ASSERT_TRUE(db.checkpoint());
+    }
+    // The shard path turns into a directory, so every read of it
+    // fails (EISDIR) the way a failing medium's EIO does.
+    const std::string shard = dir + "/shard-0.bin";
+    ASSERT_TRUE(removeFile(shard));
+    ASSERT_TRUE(ensureDir(shard));
+
+    // Both lookup paths: the targeted frame scan and the cache load.
+    for (const std::size_t cacheBytes : {std::size_t{0},
+                                         std::size_t{1} << 20}) {
+        cfg.shardCacheBytes = cacheBytes;
+        EnrollmentDb db(cfg);
+        ASSERT_TRUE(db.open());
+        EnrollmentRecord out;
+        DbGetStatus status = DbGetStatus::Ok;
+        EXPECT_NO_THROW(status = db.get("d0", out));
+        EXPECT_EQ(status, DbGetStatus::Unrecoverable)
+            << "cache bytes " << cacheBytes;
+
+        ScrubResult scrub;
+        EXPECT_NO_THROW(scrub = db.scrubShard(0));
+        EXPECT_FALSE(scrub.scanned);
+        EXPECT_FALSE(scrub.repaired);
+        EXPECT_TRUE(dirExists(shard));
+    }
+
+    // A flush never writes over an unreadable image as if the shard
+    // were empty: the old entry is moved aside first.
+    cfg.shardCacheBytes = 0;
+    EnrollmentDb db(cfg);
+    ASSERT_TRUE(db.open());
+    ASSERT_TRUE(db.put(testRecord("d1", 2.0)));
+    bool flushed = false;
+    EXPECT_NO_THROW(flushed = db.checkpoint());
+    EXPECT_TRUE(flushed);
+    EXPECT_TRUE(dirExists(shard + ".corrupt"));
+    EnrollmentRecord out;
+    EXPECT_EQ(db.get("d1", out), DbGetStatus::Ok);
+    EXPECT_EQ(db.get("d0", out), DbGetStatus::Missing);
+    removeFile(shard + ".corrupt");
+}
+
+TEST(EnrollmentDbFaults, UnreadableJournalRefusesOpen)
+{
+    // Replaying nothing from a journal that exists but cannot be read
+    // would drop its mutations at the next checkpoint.
+    const std::string dir = freshDir("db_journal_eisdir");
+    ASSERT_TRUE(ensureDir(dir + "/journal.wal"));
+    EnrollmentDb db(smallConfig(dir));
+    bool opened = true;
+    EXPECT_NO_THROW(opened = db.open());
+    EXPECT_FALSE(opened);
+    removeFile(dir + "/journal.wal");
+}
+
 TEST(EnrollmentDbFaults, AfterCommitCrashStillCountsThePut)
 {
     const std::string dir = freshDir("db_acct");
