@@ -155,6 +155,45 @@ BENCHMARK(BM_ItdrMeasureStrobeModel)
     ->Args({1, 8})
     ->Args({1, 0});
 
+// What a new instrument pays before its first IIP: construction plus
+// the first measure(), which freezes the bin grid and acquires the
+// reconstruction plan (DESIGN.md §8). resident:1 keeps an instrument
+// of the same configuration alive, so the plan is shared; resident:0
+// gives every iteration a reconstruction sigma never seen before in
+// the process, so the plan is built from scratch.
+void
+BM_ItdrFirstMeasure(benchmark::State &state)
+{
+    const auto line = benchLine();
+    ItdrConfig cfg;
+    cfg.trialsPerPhase = 170;
+    cfg.strobeModel = state.range(0) != 0 ? StrobeModel::Binomial
+                                          : StrobeModel::Sampled;
+    const bool resident = state.range(1) != 0;
+    const double sigma = cfg.comparator.noiseSigma;
+    cfg.assumedNoiseSigma = sigma;
+    ITdr holder(cfg, Rng(7));
+    holder.measure(line);
+    // Process-wide, so repeated runs of this benchmark never reuse a
+    // sigma either.
+    static uint64_t cold_keys = 0;
+    for (auto _ : state) {
+        if (!resident) {
+            cfg.assumedNoiseSigma =
+                sigma * (1.0 + 1e-9 * static_cast<double>(++cold_keys));
+        }
+        ITdr itdr(cfg, Rng(11));
+        benchmark::DoNotOptimize(itdr.measure(line));
+    }
+}
+BENCHMARK(BM_ItdrFirstMeasure)
+    ->ArgNames({"model", "resident"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+
 SimdTarget
 benchSimdArg(long arg)
 {

@@ -1,8 +1,14 @@
 #include "itdr/itdr.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <deque>
+#include <future>
+#include <mutex>
 
+#include "itdr/apc.hh"
 #include "itdr/calibrate.hh"
 #include "itdr/counter.hh"
 #include "txline/born.hh"
@@ -11,7 +17,46 @@
 
 namespace divot {
 
+struct ReconstructionPlan
+{
+    /**
+     * Everything the plan builder reads, so two instruments with
+     * equal keys would build byte-identical plans.
+     */
+    struct Key
+    {
+        double sigma = 0.0;
+        unsigned bins = 0;
+        unsigned trials = 0;
+        unsigned counterWidthBits = 0;
+        StrobeModel engine = StrobeModel::Sampled;
+        /** pdm.levelsAt(m * tau) per bin (bins x levels, row-major). */
+        std::vector<double> binLevels;
+        /** Analytic engine: the reference level each bin's j-th
+         *  strobe sees (bins x levels, row-major); empty for
+         *  Sampled. */
+        std::vector<double> analyticLevels;
+    };
+
+    std::shared_ptr<const Key> key;
+    /** Per-bin inverse-CDF tables. */
+    std::vector<ApcInverseTable> inverse;
+    /** Analytic engine: precomputed reconstruction per (bin, hit
+     *  count) — bins x (trials + 1), row-major, pre offset
+     *  correction. A hit count only takes trials + 1 values, so the
+     *  whole reconstruct sweep collapses to independent table loads
+     *  (no data-dependent binary-search chains over the cold CDF
+     *  grids); each entry is the verbatim output of
+     *  inverse[m].reconstruct on the HitCounter's probability, so
+     *  results are bit-identical to the per-bin path. Empty for
+     *  Sampled. */
+    std::vector<double> iipLut;
+};
+
 namespace {
+
+using PlanKey = ReconstructionPlan::Key;
+using PlanPtr = std::shared_ptr<const ReconstructionPlan>;
 
 unsigned
 roundUpToMultiple(unsigned value, unsigned base)
@@ -20,6 +65,192 @@ roundUpToMultiple(unsigned value, unsigned base)
         return value;
     const unsigned rem = value % base;
     return rem == 0 ? value : value + (base - rem);
+}
+
+bool
+sameBytes(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+        (a.empty() ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+             0);
+}
+
+/** Exact key equality: doubles compare by bit pattern, so -0.0 and
+ *  0.0 (or two NaN payloads) never share a plan. */
+bool
+sameKey(const PlanKey &a, const PlanKey &b)
+{
+    return std::memcmp(&a.sigma, &b.sigma, sizeof(double)) == 0 &&
+        a.bins == b.bins && a.trials == b.trials &&
+        a.counterWidthBits == b.counterWidthBits &&
+        a.engine == b.engine && sameBytes(a.binLevels, b.binLevels) &&
+        sameBytes(a.analyticLevels, b.analyticLevels);
+}
+
+uint64_t
+keyHash(const PlanKey &key)
+{
+    TraceKeyBuilder h;
+    h.add(key.sigma)
+        .add(static_cast<uint64_t>(key.bins))
+        .add(static_cast<uint64_t>(key.trials))
+        .add(static_cast<uint64_t>(key.counterWidthBits))
+        .add(static_cast<uint64_t>(key.engine));
+    for (double v : key.binLevels)
+        h.add(v);
+    for (double v : key.analyticLevels)
+        h.add(v);
+    return h.key().lo;
+}
+
+PlanPtr
+buildPlan(std::shared_ptr<const PlanKey> key)
+{
+    auto plan = std::make_shared<ReconstructionPlan>();
+    const PlanKey &k = *key;
+    const std::size_t levels = k.binLevels.size() / k.bins;
+    plan->inverse.reserve(k.bins);
+    for (unsigned m = 0; m < k.bins; ++m) {
+        const auto first = k.binLevels.begin() +
+            static_cast<std::ptrdiff_t>(m * levels);
+        plan->inverse.emplace_back(
+            std::vector<double>(first,
+                                first + static_cast<std::ptrdiff_t>(levels)),
+            k.sigma);
+    }
+    if (k.engine == StrobeModel::Binomial) {
+        // One row per bin, one entry per possible hit count. The
+        // counter round-trip reproduces finishBin's probability
+        // computation exactly (including any width clamping), so a
+        // LUT lookup is bit-identical to calling reconstruct in the
+        // bin loop.
+        const std::size_t stride = static_cast<std::size_t>(k.trials) + 1;
+        plan->iipLut.resize(static_cast<std::size_t>(k.bins) * stride);
+        HitCounter counter(k.counterWidthBits);
+        for (unsigned m = 0; m < k.bins; ++m) {
+            for (unsigned h = 0; h <= k.trials; ++h) {
+                counter.reset();
+                counter.recordBatch(h, k.trials);
+                plan->iipLut[static_cast<std::size_t>(m) * stride + h] =
+                    plan->inverse[m].reconstruct(counter.probability());
+            }
+        }
+    }
+    plan->key = std::move(key);
+    return plan;
+}
+
+/**
+ * Process-wide interning of reconstruction plans (DESIGN.md §8). A
+ * plan lives while any instrument holds it, and the registry keeps
+ * the most recently acquired ones alive beyond that. Each key is
+ * built once: later requesters for a key under construction wait for
+ * that build, and the lock is never held while a plan builds, so
+ * different keys build in parallel.
+ */
+class PlanRegistry
+{
+  public:
+    PlanPtr acquire(PlanKey key);
+
+  private:
+    /** Plans kept alive after their last instrument is gone, most
+     *  recent first. Enough for a study's nominal instrument to hand
+     *  its plan to the lanes built after it dies and to the next
+     *  campaign, and for a process alternating a few configurations
+     *  not to rebuild each time; a constant, not a knob. */
+    static constexpr std::size_t kRetainedPlans = 8;
+
+    struct Slot
+    {
+        uint64_t hash = 0;
+        std::shared_ptr<const PlanKey> key;
+        std::weak_ptr<const ReconstructionPlan> plan; //!< once built
+        std::shared_future<PlanPtr> building; //!< valid while building
+    };
+
+    std::mutex mutex_;
+    std::vector<Slot> slots_;
+    std::deque<PlanPtr> recent_;
+
+    /** Make `plan` the most recent retained plan (caller holds
+     *  mutex_). */
+    void retain(const PlanPtr &plan);
+};
+
+PlanPtr
+PlanRegistry::acquire(PlanKey key)
+{
+    const uint64_t hash = keyHash(key);
+    std::promise<PlanPtr> promise;
+    std::shared_ptr<const PlanKey> owned;
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        // Forget plans that neither an instrument nor the retention
+        // list holds any more.
+        std::erase_if(slots_, [](const Slot &s) {
+            return !s.building.valid() && s.plan.expired();
+        });
+        for (const Slot &slot : slots_) {
+            if (slot.hash != hash || !sameKey(*slot.key, key))
+                continue;
+            if (PlanPtr plan = slot.plan.lock()) {
+                retain(plan);
+                return plan;
+            }
+            // Another thread is building this key: wait for it.
+            const std::shared_future<PlanPtr> building = slot.building;
+            lock.unlock();
+            return building.get();
+        }
+        owned = std::make_shared<const PlanKey>(std::move(key));
+        slots_.push_back({hash, owned, {}, promise.get_future().share()});
+    }
+
+    PlanPtr plan;
+    try {
+        plan = buildPlan(owned);
+    } catch (...) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            std::erase_if(slots_,
+                          [&](const Slot &s) { return s.key == owned; });
+        }
+        promise.set_exception(std::current_exception());
+        throw;
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (Slot &slot : slots_) {
+            if (slot.key == owned) {
+                slot.plan = plan;
+                slot.building = {};
+                break;
+            }
+        }
+        retain(plan);
+    }
+    promise.set_value(plan);
+    return plan;
+}
+
+void
+PlanRegistry::retain(const PlanPtr &plan)
+{
+    const auto it = std::find(recent_.begin(), recent_.end(), plan);
+    if (it != recent_.end())
+        recent_.erase(it);
+    recent_.push_front(plan);
+    if (recent_.size() > kRetainedPlans)
+        recent_.pop_back();
+}
+
+PlanRegistry &
+planRegistry()
+{
+    static PlanRegistry registry;
+    return registry;
 }
 
 } // namespace
@@ -138,36 +369,7 @@ ITdr::prepareBins(const TransmissionLine &line)
     if (bins_ == 0)
         divot_fatal("iTDR capture window too short (%g s)", window_);
 
-    inverse_.clear();
-    inverse_.reserve(bins_);
-    const double sigma = reconstructionSigma();
-    for (unsigned m = 0; m < bins_; ++m) {
-        const double t0 = static_cast<double>(m) * pll_.phaseStep();
-        inverse_.emplace_back(pdm_.levelsAt(t0), sigma);
-    }
-
-    if (config_.strobeModel == StrobeModel::Binomial) {
-        // The analytic engine's per-bin reference levels. Trigger
-        // cycles only ever advance in whole measurements of
-        // bins_ * trials_ clock-lane triggers, and trials_ is a
-        // multiple of the Vernier period, so every bin always starts
-        // at modulation phase 0: the level sequence seen at bin m is
-        // measurement-invariant and can be frozen here with the bin
-        // grid.
-        const unsigned levels = pdm_.levelCount();
-        const double t_clk = pll_.clockPeriod();
-        analyticLevels_.resize(static_cast<std::size_t>(bins_) * levels);
-        for (unsigned m = 0; m < bins_; ++m) {
-            const double t0 = static_cast<double>(m) * pll_.phaseStep();
-            for (unsigned j = 0; j < levels; ++j) {
-                analyticLevels_[static_cast<std::size_t>(m) * levels +
-                                j] =
-                    pdm_.referenceAt(static_cast<double>(j) * t_clk +
-                                     t0);
-            }
-        }
-        rebuildIipLut();
-    }
+    acquirePlan();
 
     // Budget baseline for the health screen: expected cycles follow
     // from the trigger rate exactly as in predictBudget().
@@ -192,38 +394,50 @@ ITdr::recalibrate()
     }
     calibratedSigma_ = result.sigma;
     offsetCorrection_ = result.offset;
-    if (bins_ != 0) {
-        // The inverse tables bake in sigma: rebuild them on the frozen
-        // bin grid so reconstructions use the fresh estimate.
-        for (unsigned m = 0; m < bins_; ++m) {
-            const double t0 = static_cast<double>(m) * pll_.phaseStep();
-            inverse_[m] = ApcInverseTable(pdm_.levelsAt(t0),
-                                          calibratedSigma_);
-        }
-        if (config_.strobeModel == StrobeModel::Binomial)
-            rebuildIipLut();
-    }
+    // The inverse tables bake in sigma: move to the plan of the fresh
+    // estimate on the frozen bin grid.
+    if (bins_ != 0)
+        acquirePlan();
     return true;
 }
 
 void
-ITdr::rebuildIipLut()
+ITdr::acquirePlan()
 {
-    // One row per bin, one entry per possible hit count. The counter
-    // round-trip reproduces finishBin's probability computation
-    // exactly (including any width clamping), so a LUT lookup is
-    // bit-identical to calling reconstruct in the bin loop.
-    const std::size_t stride = static_cast<std::size_t>(trials_) + 1;
-    iipLut_.resize(static_cast<std::size_t>(bins_) * stride);
-    HitCounter counter(config_.counterWidthBits);
+    PlanKey key;
+    key.sigma = reconstructionSigma();
+    key.bins = bins_;
+    key.trials = trials_;
+    key.counterWidthBits = config_.counterWidthBits;
+    key.engine = config_.strobeModel;
+    const unsigned levels = pdm_.levelCount();
+    const std::size_t cells = static_cast<std::size_t>(bins_) * levels;
+    key.binLevels.reserve(cells);
     for (unsigned m = 0; m < bins_; ++m) {
-        for (unsigned h = 0; h <= trials_; ++h) {
-            counter.reset();
-            counter.recordBatch(h, trials_);
-            iipLut_[static_cast<std::size_t>(m) * stride + h] =
-                inverse_[m].reconstruct(counter.probability());
+        const std::vector<double> at =
+            pdm_.levelsAt(static_cast<double>(m) * pll_.phaseStep());
+        key.binLevels.insert(key.binLevels.end(), at.begin(), at.end());
+    }
+    if (config_.strobeModel == StrobeModel::Binomial) {
+        // The analytic engine's per-bin reference levels. Trigger
+        // cycles only ever advance in whole measurements of
+        // bins_ * trials_ clock-lane triggers, and trials_ is a
+        // multiple of the Vernier period, so every bin always starts
+        // at modulation phase 0: the level sequence seen at bin m is
+        // measurement-invariant and can be frozen with the bin grid.
+        const double t_clk = pll_.clockPeriod();
+        key.analyticLevels.resize(cells);
+        for (unsigned m = 0; m < bins_; ++m) {
+            const double t0 = static_cast<double>(m) * pll_.phaseStep();
+            for (unsigned j = 0; j < levels; ++j) {
+                key.analyticLevels[static_cast<std::size_t>(m) * levels +
+                                   j] =
+                    pdm_.referenceAt(static_cast<double>(j) * t_clk +
+                                     t0);
+            }
         }
     }
+    plan_ = planRegistry().acquire(std::move(key));
 }
 
 double
@@ -299,6 +513,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
 {
     prepareBins(line);
     const Waveform &trace = detectorTraceFor(line);
+    const ReconstructionPlan &plan = *plan_;
 
     const double tau = pll_.phaseStep();
     const double t_clk = pll_.clockPeriod();
@@ -371,7 +586,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
             ++saturated_bins;
         counter.reset();
         counter.recordBatch(hits, trials_);
-        double v = inverse_[m].reconstruct(counter.probability()) -
+        double v = plan.inverse[m].reconstruct(counter.probability()) -
             offsetCorrection_;
         if (!std::isfinite(v)) {
             ++non_finite_bins;
@@ -461,10 +676,10 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
                 pll_.stepPhase();
             }
             comparator_.strobeAnalyticSoA(*kernels_,
-                                          analyticLevels_.data(),
+                                          plan.key->analyticLevels.data(),
                                           bins_, levels, per_level,
                                           soa);
-            // finishBin via iipLut_: same saturation/finiteness
+            // finishBin via the plan's LUT: same saturation/finiteness
             // accounting, same reconstruct value (precomputed), but
             // independent loads instead of per-bin CDF searches — the
             // prefetch keeps the sweep from serializing on the 0.5 MB
@@ -474,16 +689,16 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
             for (unsigned m = 0; m < bins_; ++m) {
                 if (m + 8 < bins_) {
                     __builtin_prefetch(
-                        &iipLut_[static_cast<std::size_t>(m + 8) *
-                                     stride +
-                                 soa.hits[m + 8]]);
+                        &plan.iipLut[static_cast<std::size_t>(m + 8) *
+                                         stride +
+                                     soa.hits[m + 8]]);
                 }
                 const unsigned hits = faultHits(soa.hits[m]);
                 if (hits == 0 || hits >= trials_)
                     ++saturated_bins;
                 double v =
-                    iipLut_[static_cast<std::size_t>(m) * stride +
-                            hits] -
+                    plan.iipLut[static_cast<std::size_t>(m) * stride +
+                                hits] -
                     offsetCorrection_;
                 if (!std::isfinite(v)) {
                     ++non_finite_bins;
@@ -507,7 +722,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
                 const unsigned hits =
                     faultHits(comparator_.strobeAnalytic(
                         v_sig,
-                        analyticLevels_.data() +
+                        plan.key->analyticLevels.data() +
                             static_cast<std::size_t>(m) * levels,
                         levels, per_level));
                 finishBin(m, hits);

@@ -30,7 +30,6 @@
 #include "analog/coupler.hh"
 #include "analog/pll.hh"
 #include "fault/fault.hh"
-#include "itdr/apc.hh"
 #include "itdr/health.hh"
 #include "itdr/kernels/kernels.hh"
 #include "itdr/kernels/soa.hh"
@@ -143,6 +142,16 @@ struct IipMeasurement
 };
 
 /**
+ * The per-bin inverse-CDF tables, the analytic engine's frozen
+ * reference levels and the reconstruction LUT of one instrument
+ * configuration on one bin grid. Defined in itdr.cc: instruments
+ * acquire it from a process-wide registry keyed by the exact inputs
+ * it is built from, share it read-only, and never mutate it
+ * (DESIGN.md §8).
+ */
+struct ReconstructionPlan;
+
+/**
  * The iTDR instrument bound to one bus interface.
  */
 class ITdr
@@ -154,6 +163,14 @@ class ITdr
      *               data)
      */
     ITdr(ItdrConfig config, Rng rng);
+
+    // The active kernel arena points into the instrument itself
+    // (soaOwn_), so a copy or a move would keep sweeping through the
+    // source's arena.
+    ITdr(const ITdr &) = delete;
+    ITdr &operator=(const ITdr &) = delete;
+    ITdr(ITdr &&) = delete;
+    ITdr &operator=(ITdr &&) = delete;
 
     /**
      * Measure the IIP of a line.
@@ -219,14 +236,29 @@ class ITdr
 
     /**
      * Re-run the power-up noise self-calibration against the live
-     * comparator and rebuild the inverse-CDF tables with the fresh
-     * sigma/offset estimates. This is the Quarantine-recovery hook:
-     * after an unhealthy streak the Authenticator re-baselines the
-     * instrument before trusting it again.
+     * comparator and switch to the reconstruction plan of the fresh
+     * sigma/offset estimates (shared plans are never rebuilt in
+     * place, so other instruments are unaffected). This is the
+     * Quarantine-recovery hook: after an unhealthy streak the
+     * Authenticator re-baselines the instrument before trusting it
+     * again.
      *
      * @return true when the calibration converged and was applied
      */
     bool recalibrate();
+
+    /**
+     * @return the reconstruction plan measure() reads: null until the
+     *  first measure() or idealIip() freezes the bin grid, then shared
+     *  with every instrument whose plan inputs (sigma, bin grid,
+     *  effective trials, counter width, engine, reference levels)
+     *  are equal.
+     */
+    const std::shared_ptr<const ReconstructionPlan> &
+    reconstructionPlan() const
+    {
+        return plan_;
+    }
 
     /** @return predicted bus cycles per measurement (0 until the
      *  first measure() freezes the bin grid). */
@@ -281,8 +313,9 @@ class ITdr
     FaultInjector *faultInjector_ = nullptr;
     uint64_t expectedCycles_ = 0;
 
-    /** Per-bin inverse-CDF tables, built lazily on first measure. */
-    std::vector<ApcInverseTable> inverse_;
+    /** Shared reconstruction tables of the frozen bin grid, acquired
+     *  by prepareBins and swapped by recalibrate. */
+    std::shared_ptr<const ReconstructionPlan> plan_;
 
     /** Content-keyed cache of rendered clean detector traces. */
     mutable TraceCache traceCache_;
@@ -293,20 +326,6 @@ class ITdr
     /** One Vernier period of reference levels (levelCount() values),
      *  reused across bins so measure() allocates nothing. */
     std::vector<double> periodScratch_;
-    /** Analytic engine: per-bin reference levels precomputed on the
-     *  frozen bin grid (bins_ x levelCount(), row-major). Built by
-     *  prepareBins only when strobeModel == Binomial. */
-    std::vector<double> analyticLevels_;
-    /** Analytic engine: precomputed reconstruction per (bin, hit
-     *  count) — bins_ x (trials_ + 1), row-major, pre offset
-     *  correction. A hit count only takes trials_ + 1 values, so the
-     *  whole reconstruct sweep collapses to independent table loads
-     *  (no data-dependent binary-search chains over the cold CDF
-     *  grids); each entry is the verbatim output of
-     *  inverse_[m].reconstruct on the HitCounter's probability, so
-     *  results are bit-identical to the per-bin path. Built by
-     *  prepareBins (Binomial only) and rebuilt by recalibrate. */
-    std::vector<double> iipLut_;
     /** One-time fallback warning latch (per instrument). */
     bool analyticFallbackWarned_ = false;
     /** Resolved strobe kernels (never null; set in the ctor). */
@@ -353,8 +372,10 @@ class ITdr
     void prepareBins(const TransmissionLine &line);
     double reconstructionSigma() const;
 
-    /** (Re)build iipLut_ from the current inverse_ tables. */
-    void rebuildIipLut();
+    /** Point plan_ at the plan of the current sigma on the frozen bin
+     *  grid, building it only when no instrument holds or the
+     *  registry retains one. */
+    void acquirePlan();
 
     /** Render the clean trace (no cache). */
     Waveform renderDetectorTrace(const TransmissionLine &line,

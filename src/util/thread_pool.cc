@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -16,8 +18,13 @@ ThreadPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("DIVOT_THREADS")) {
         char *end = nullptr;
+        errno = 0;
         const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
+        // Out-of-range values must not wrap: 2^32 would cast to a
+        // pool with no workers, whose submitted tasks never run.
+        if (end != env && *end == '\0' && errno != ERANGE && v >= 1 &&
+            static_cast<unsigned long>(v) <=
+                std::numeric_limits<unsigned>::max())
             return static_cast<unsigned>(v);
         divot_warn("ignoring invalid DIVOT_THREADS value '%s'", env);
     }

@@ -49,7 +49,8 @@ class ThreadPool
 
     /**
      * Thread count a default-constructed pool uses: the DIVOT_THREADS
-     * environment variable when set to a positive integer, otherwise
+     * environment variable when set to a positive integer that fits
+     * `unsigned`, otherwise (with a warning when set)
      * std::thread::hardware_concurrency() (minimum 1).
      */
     static unsigned defaultThreadCount();

@@ -1,19 +1,23 @@
 /**
  * @file
  * Integration tests for the full iTDR: reconstruction convergence to
- * the physics ground truth, bin-grid stability, cost accounting, and
- * the load-echo timing the memory-bus design depends on.
+ * the physics ground truth, bin-grid stability, cost accounting, the
+ * load-echo timing the memory-bus design depends on, and the sharing
+ * of reconstruction plans between instruments.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "itdr/budget.hh"
 #include "itdr/itdr.hh"
 #include "signal/noise.hh"
 #include "txline/manufacturing.hh"
+#include "util/thread_pool.hh"
 
 namespace divot {
 namespace {
@@ -329,6 +333,182 @@ TEST(ITdr, ZeroTrialsRejected)
     ItdrConfig bad;
     bad.trialsPerPhase = 0;
     EXPECT_DEATH(ITdr(bad, Rng(21)), "trialsPerPhase");
+}
+
+/** Bit-for-bit equality of two measurements' reconstructions and
+ *  cost accounting. */
+::testing::AssertionResult
+sameBytes(const IipMeasurement &a, const IipMeasurement &b)
+{
+    if (a.iip.size() != b.iip.size() || a.iip.dt() != b.iip.dt())
+        return ::testing::AssertionFailure() << "bin grids differ";
+    if (a.busCycles != b.busCycles || a.triggers != b.triggers)
+        return ::testing::AssertionFailure() << "accounting differs";
+    for (std::size_t i = 0; i < a.iip.size(); ++i) {
+        const double va = a.iip[i];
+        const double vb = b.iip[i];
+        if (std::memcmp(&va, &vb, sizeof(double)) != 0) {
+            return ::testing::AssertionFailure()
+                << "bin " << i << ": " << va << " vs " << vb;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+const StrobeModel kEngines[] = {StrobeModel::Sampled,
+                                StrobeModel::Binomial};
+
+/** A configuration with a reconstruction sigma no other test uses, so
+ *  its plan is built by these instruments, not found resident. */
+ItdrConfig
+freshPlanConfig(StrobeModel engine, double sigma)
+{
+    ItdrConfig cfg;
+    cfg.strobeModel = engine;
+    cfg.assumedNoiseSigma = sigma;
+    return cfg;
+}
+
+TEST(ITdrPlan, ConcurrentFirstMeasuresShareOneBuildAndMatchSerial)
+{
+    const auto line = testLine(3);
+    ThreadPool pool(4);
+    constexpr std::size_t n = 8;
+    double sigma = 0.517e-3;
+    for (StrobeModel engine : kEngines) {
+        const ItdrConfig cfg = freshPlanConfig(engine, sigma);
+        sigma += 0.01e-3;
+        std::vector<std::unique_ptr<ITdr>> pooled;
+        for (std::size_t i = 0; i < n; ++i)
+            pooled.push_back(std::make_unique<ITdr>(cfg, Rng(100 + i)));
+        std::vector<IipMeasurement> concurrent(n);
+        pool.parallelFor(n, [&](std::size_t i) {
+            concurrent[i] = pooled[i]->measure(line);
+        });
+        // Every first measure waited for the one build of the key.
+        ASSERT_NE(pooled[0]->reconstructionPlan(), nullptr);
+        for (std::size_t i = 1; i < n; ++i) {
+            EXPECT_EQ(pooled[i]->reconstructionPlan().get(),
+                      pooled[0]->reconstructionPlan().get())
+                << "instrument " << i;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            ITdr serial(cfg, Rng(100 + i));
+            EXPECT_TRUE(sameBytes(serial.measure(line), concurrent[i]))
+                << "instrument " << i;
+        }
+    }
+}
+
+TEST(ITdrPlan, RecalibrateLeavesSiblingsUntouched)
+{
+    const auto line = testLine(4);
+    for (StrobeModel engine : kEngines) {
+        ItdrConfig cfg;
+        cfg.strobeModel = engine;
+        ITdr recalibrated(cfg, Rng(200));
+        ITdr sibling(cfg, Rng(201));
+        recalibrated.measure(line);
+        const IipMeasurement before = sibling.measure(line);
+        const auto shared = sibling.reconstructionPlan();
+        ASSERT_EQ(recalibrated.reconstructionPlan(), shared);
+
+        ASSERT_TRUE(recalibrated.recalibrate());
+        EXPECT_EQ(sibling.reconstructionPlan(), shared);
+        if (recalibrated.effectiveSigma() != sibling.effectiveSigma()) {
+            EXPECT_NE(recalibrated.reconstructionPlan(), shared);
+        }
+        const IipMeasurement after = sibling.measure(line);
+
+        // A fresh instrument on the sibling's stream replays both.
+        ITdr fresh(cfg, Rng(201));
+        EXPECT_TRUE(sameBytes(fresh.measure(line), before));
+        EXPECT_TRUE(sameBytes(fresh.measure(line), after));
+    }
+}
+
+TEST(ITdrPlan, PlansDifferingInOneInputStayApart)
+{
+    const auto line = testLine(6);
+    for (StrobeModel engine : kEngines) {
+        ItdrConfig x;
+        x.strobeModel = engine;
+        ItdrConfig by_sigma = x;
+        by_sigma.assumedNoiseSigma = 0.6e-3;
+        ItdrConfig by_width = x;
+        by_width.counterWidthBits = 10;  // still above the trial count
+        for (const ItdrConfig &y : {by_sigma, by_width}) {
+            IipMeasurement x_first, x_again;
+            std::shared_ptr<const ReconstructionPlan> x_plan, y_plan;
+            {
+                ITdr itdr(x, Rng(300));
+                x_first = itdr.measure(line);
+                x_plan = itdr.reconstructionPlan();
+            }
+            {
+                ITdr itdr(y, Rng(300));
+                itdr.measure(line);
+                y_plan = itdr.reconstructionPlan();
+            }
+            {
+                ITdr itdr(x, Rng(300));
+                x_again = itdr.measure(line);
+            }
+            EXPECT_NE(x_plan, y_plan);
+            EXPECT_TRUE(sameBytes(x_first, x_again));
+        }
+    }
+}
+
+/** Measure once with `count` configurations that differ from `cfg`
+ *  only in sigma, each on a new plan. */
+void
+churnPlans(const ItdrConfig &cfg, const TransmissionLine &line,
+           int count)
+{
+    for (int i = 1; i <= count; ++i) {
+        ItdrConfig other = cfg;
+        other.assumedNoiseSigma =
+            cfg.assumedNoiseSigma * (1.0 + 0.01 * static_cast<double>(i));
+        ITdr itdr(other, Rng(402));
+        itdr.measure(line);
+    }
+}
+
+TEST(ITdrPlan, RecentPlansOutliveTheirInstrumentsUpToAFixedCount)
+{
+    const auto line = testLine(7);
+    ItdrConfig cfg = freshPlanConfig(StrobeModel::Binomial, 0.541e-3);
+    cfg.captureWindow = 40.0 * cfg.pll.phaseStep;  // cheap plans
+    std::weak_ptr<const ReconstructionPlan> kept;
+    {
+        ITdr first(cfg, Rng(400));
+        first.measure(line);
+        kept = first.reconstructionPlan();
+    }
+    // No instrument holds the plan, yet the next one finds it.
+    ASSERT_FALSE(kept.expired());
+    {
+        ITdr again(cfg, Rng(401));
+        again.measure(line);
+        EXPECT_EQ(again.reconstructionPlan(), kept.lock());
+    }
+    // Retention is bounded: enough newer plans push it out.
+    churnPlans(cfg, line, 32);
+    EXPECT_TRUE(kept.expired());
+}
+
+TEST(ITdrPlan, HeldPlansOutliveRetentionChurn)
+{
+    const auto line = testLine(8);
+    ItdrConfig cfg = freshPlanConfig(StrobeModel::Sampled, 0.547e-3);
+    cfg.captureWindow = 40.0 * cfg.pll.phaseStep;
+    ITdr holder(cfg, Rng(500));
+    holder.measure(line);
+    churnPlans(cfg, line, 32);
+    ITdr later(cfg, Rng(501));
+    later.measure(line);
+    EXPECT_EQ(later.reconstructionPlan(), holder.reconstructionPlan());
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <type_traits>
 #include <vector>
 
 #include "analog/comparator.hh"
@@ -331,6 +332,15 @@ TEST_F(DispatchEnv, UnsupportedForcedTargetFallsBackToScalar)
                   SimdTarget::Scalar);
     }
 }
+
+// The active arena points into the instrument (its owned scratch),
+// so a copied or moved-to ITdr would sweep through its source's
+// arena: racing it while both measure, reading freed memory once the
+// source dies. Copy and move are deleted.
+static_assert(!std::is_copy_constructible_v<ITdr>);
+static_assert(!std::is_copy_assignable_v<ITdr>);
+static_assert(!std::is_move_constructible_v<ITdr>);
+static_assert(!std::is_move_assignable_v<ITdr>);
 
 /** Full-instrument determinism per dispatch target, plus arena
  *  sharing: a measure through a caller-attached arena must be

@@ -134,5 +134,30 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnvironment)
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
 }
 
+TEST(ThreadPool, DefaultThreadCountRejectsValuesBeyondUnsigned)
+{
+    ASSERT_EQ(unsetenv("DIVOT_THREADS"), 0);
+    const unsigned fallback = ThreadPool::defaultThreadCount();
+
+    // 2^32 fits a long but not an unsigned; it used to wrap to a pool
+    // with no workers, so submit() never ran and drain() hung.
+    ASSERT_EQ(setenv("DIVOT_THREADS", "4294967296", 1), 0);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), fallback);
+    {
+        ThreadPool pool(0);
+        ASSERT_EQ(pool.threadCount(), fallback);
+        std::atomic<int> ran{0};
+        pool.submit([&ran] { ++ran; });
+        pool.drain();
+        EXPECT_EQ(ran.load(), 1);
+    }
+
+    // Beyond long: strtol reports ERANGE and saturates.
+    ASSERT_EQ(setenv("DIVOT_THREADS", "99999999999999999999", 1), 0);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), fallback);
+
+    ASSERT_EQ(unsetenv("DIVOT_THREADS"), 0);
+}
+
 } // namespace
 } // namespace divot
