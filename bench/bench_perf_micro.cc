@@ -3,13 +3,15 @@
  * PERF — google-benchmark microbenchmarks of the simulator's hot
  * paths: lattice and Born reflection rendering, a full iTDR
  * measurement, fingerprint similarity, the APC inverse table, ROC
- * analysis, and the enrollment store's point-lookup read path. These
- * bound how fast the paper-scale experiments can run and quantify the
- * Born-vs-lattice ablation speed side.
+ * analysis, the enrollment store's point-lookup read path, and the
+ * thread pool's parallelFor fan-out. These bound how fast the
+ * paper-scale experiments can run and quantify the Born-vs-lattice
+ * ablation speed side.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -370,19 +372,35 @@ BM_ComparatorStrobeBatch(benchmark::State &state)
 }
 BENCHMARK(BM_ComparatorStrobeBatch)->Arg(170)->Arg(1700);
 
+/** One parallelFor fan-out of n bodies on a pool of `threads`; each
+ *  body busy-waits `body_us` microseconds (0: a single store). Wall
+ *  time, since the caller may sleep while helpers work. */
 void
 BM_ThreadPoolParallelFor(benchmark::State &state)
 {
     ThreadPool pool(static_cast<unsigned>(state.range(0)));
-    std::vector<double> out(4096);
+    std::vector<double> out(static_cast<std::size_t>(state.range(1)));
+    const std::chrono::microseconds busy(state.range(2));
     for (auto _ : state) {
         pool.parallelFor(out.size(), [&](std::size_t i) {
-            out[i] = static_cast<double>(i) * 1.5;
+            double v = static_cast<double>(i) * 1.5;
+            if (busy.count() > 0) {
+                const auto until = std::chrono::steady_clock::now() + busy;
+                while (std::chrono::steady_clock::now() < until)
+                    v += 1.0;
+            }
+            out[i] = v;
         });
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(4);
+BENCHMARK(BM_ThreadPoolParallelFor)
+    ->ArgNames({"threads", "n", "body_us"})
+    ->ArgsProduct({{1, 4}, {4, 8, 4096}, {0}})
+    ->Args({4, 4, 50})
+    ->Args({4, 8, 50})
+    ->UseRealTime();
 
 void
 BM_Similarity(benchmark::State &state)

@@ -626,8 +626,16 @@ ChannelScheduler::hydrateLanes(const std::vector<std::size_t> &selected)
         std::size_t bytes = 0;
     };
     std::vector<Staged> staged(selected.size());
-    pool_->parallelFor(laneCount_, [&](std::size_t lane) {
-        Reactor &lr = *laneReactors_[lane];
+    // Fan out over the lanes holding a request this tick only; an
+    // empty lane's body would be a no-op.
+    std::vector<std::size_t> busy;
+    busy.reserve(laneCount_);
+    for (std::size_t lane = 0; lane < laneCount_; ++lane) {
+        if (!laneReactors_[lane]->empty())
+            busy.push_back(lane);
+    }
+    pool_->parallelFor(busy.size(), [&](std::size_t k) {
+        Reactor &lr = *laneReactors_[busy[k]];
         while (!lr.empty()) {
             const ReactorEvent event = lr.pop();
             Staged &out = staged[event.ticket];
@@ -708,23 +716,17 @@ ChannelScheduler::launchBarrierProbes()
     const std::size_t batch =
         config_.measureBatch > 1 ? config_.measureBatch : 1;
     if (batch > 1) {
-        // Batched mode: item i is a no-op unless it leads a group of
-        // `batch` consecutive ready channels, which the leader probes
-        // serially against one shared SoA arena. Submitting every
-        // index (leaders and no-ops) keeps the pool's stable
-        // parallel_for metrics identical to per-channel mode, so the
-        // two modes export the same telemetry bytes.
+        // Batched mode: group g probes `batch` consecutive ready
+        // channels serially against one shared SoA arena.
         const std::size_t groups =
             (epochReady_.size() + batch - 1) / batch;
         if (kernelArenas_.size() < groups)
             kernelArenas_.resize(groups);
-        pool_->parallelFor(epochReady_.size(), [&](std::size_t i) {
-            if (i % batch != 0)
-                return;
-            const std::size_t g = i / batch;
+        pool_->parallelFor(groups, [&](std::size_t g) {
+            const std::size_t lo = g * batch;
             const std::size_t hi =
-                std::min(i + batch, epochReady_.size());
-            for (std::size_t j = i; j < hi; ++j) {
+                std::min(lo + batch, epochReady_.size());
+            for (std::size_t j = lo; j < hi; ++j) {
                 const std::size_t c = epochReady_[j];
                 channels_[c]->attachKernelArena(&kernelArenas_[g]);
                 round_.probes[j].channel = c;

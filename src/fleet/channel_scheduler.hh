@@ -383,8 +383,8 @@ class ChannelScheduler
                        double vtime, std::size_t channel = 0,
                        uint64_t ticket = 0);
     /** Barrier + lanes: drain the epoch's hydration through the lane
-     *  reactors in parallel and merge the staged outcomes in
-     *  ascending-channel order. */
+     *  reactors that hold a request, in parallel, and merge the
+     *  staged outcomes in ascending-channel order. */
     void hydrateLanes(const std::vector<std::size_t> &selected);
 
     /** @name Reactor event handlers (single-threaded event loop). */
@@ -431,8 +431,8 @@ class ChannelScheduler
     bool lastTrusted_ = true; //!< previous tick's busTrusted (for
                               //!< trust-flip events)
     /** Shared SoA kernel arenas, one per probe group of a batched
-     *  tick (grow-only; groups of one tick run serially on their
-     *  leader's worker, so one arena per group suffices). */
+     *  tick (grow-only; a group's probes run serially on one
+     *  thread, so one arena per group suffices). */
     std::vector<StrobeSoA> kernelArenas_;
 
     /** @name Per-channel state machine + routing indexes. */

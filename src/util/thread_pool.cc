@@ -157,6 +157,66 @@ ThreadPool::drain()
         std::rethrow_exception(error);
 }
 
+namespace {
+
+/**
+ * One parallelFor call's shared state. The caller and its helpers
+ * hold it through a shared_ptr, so a helper the pool schedules after
+ * the call returned still finds it alive; such a helper's first claim
+ * lands past `n`, and it leaves without touching `body`.
+ */
+struct ForLoop
+{
+    ForLoop(std::size_t count, std::size_t blockSize,
+            const std::function<void(std::size_t)> &fn)
+        : n(count), block(blockSize), body(&fn)
+    {
+    }
+
+    const std::size_t n;
+    const std::size_t block;
+    /** Dereferenced only for claimed indices, i.e. while the caller
+     *  still waits for them. */
+    const std::function<void(std::size_t)> *const body;
+    std::atomic<std::size_t> next{0};  //!< first unclaimed index
+
+    std::mutex mutex;
+    std::condition_variable finished;
+    std::size_t done = 0;            //!< bodies run (guarded by mutex)
+    std::exception_ptr firstError;   //!< guarded by mutex
+
+    /** Claim and run blocks of indices until none are left. */
+    void run()
+    {
+        for (;;) {
+            const std::size_t begin =
+                next.fetch_add(block, std::memory_order_relaxed);
+            if (begin >= n)
+                return;
+            const std::size_t end = std::min(n, begin + block);
+            for (std::size_t i = begin; i < end; ++i) {
+                try {
+                    (*body)(i);
+                } catch (...) {
+                    // Record but keep going: every body runs even
+                    // when an early one fails, matching the serial
+                    // path's side effects as closely as possible
+                    // before the error is rethrown.
+                    std::lock_guard<std::mutex> lock(mutex);
+                    if (!firstError)
+                        firstError = std::current_exception();
+                }
+            }
+            std::lock_guard<std::mutex> lock(mutex);
+            done += end - begin;
+            if (done == n)
+                finished.notify_one();
+        }
+    }
+};
+
+} // namespace
+
 void
 ThreadPool::parallelFor(std::size_t n,
                         const std::function<void(std::size_t)> &body)
@@ -172,30 +232,27 @@ ThreadPool::parallelFor(std::size_t n,
         return;
     }
 
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
+    // About eight blocks per worker: few enough that claims stay off
+    // the profile for trivial bodies, enough to even out uneven ones.
+    const std::size_t block =
+        std::max<std::size_t>(1, n / (8 * std::size_t{threadCount_}));
+    const std::size_t blocks = (n + block - 1) / block;
+    const std::size_t helpers =
+        std::min<std::size_t>(threadCount_, blocks) - 1;
 
-    const std::size_t runners =
-        std::min<std::size_t>(threadCount_, n);
-    for (std::size_t r = 0; r < runners; ++r) {
-        submit([this, n, next, &body] {
-            for (;;) {
-                const std::size_t i =
-                    next->fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                try {
-                    body(i);
-                } catch (...) {
-                    // Record but keep claiming indices: every body
-                    // runs even when an early one fails, matching the
-                    // serial path's side effects as closely as
-                    // possible before the error is rethrown.
-                    recordError(std::current_exception());
-                }
-            }
-        });
+    auto loop = std::make_shared<ForLoop>(n, block, body);
+    for (std::size_t h = 0; h < helpers; ++h)
+        submit([loop] { loop->run(); });
+    loop->run();
+
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(loop->mutex);
+        loop->finished.wait(lock, [&] { return loop->done == n; });
+        error = loop->firstError;
     }
-    drain();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace divot

@@ -6,10 +6,11 @@
  * measurement task owns its random stream (Rng::forkStable) and its
  * wall-clock slot is precomputed, so the pool is deliberately simple:
  * a work queue drained by persistent workers plus a parallelFor that
- * fans indexed tasks out and blocks until they complete. Determinism
- * is the caller's contract — tasks must write disjoint state and must
- * not share random streams — the pool itself adds no ordering
- * guarantees beyond completion.
+ * fans indexed tasks out, works on them from the calling thread too,
+ * and returns when they are complete. Determinism is the caller's
+ * contract — tasks must write disjoint state and must not share
+ * random streams — the pool itself adds no ordering guarantees
+ * beyond completion.
  */
 
 #ifndef DIVOT_UTIL_THREAD_POOL_HH
@@ -78,24 +79,36 @@ class ThreadPool
     void drain();
 
     /**
-     * Run body(0..n-1) across the pool and block until all complete.
-     * Indices are claimed dynamically, so bodies must be independent
-     * (disjoint writes, no shared random streams). With a single
-     * worker the loop runs inline on the calling thread — the serial
-     * reference path used by the determinism tests. The first
-     * exception thrown by a body is rethrown here after all workers
-     * drain.
+     * Run body(0..n-1) and return once every body has finished.
+     * Indices are claimed dynamically, in blocks sized from n and the
+     * worker count, so bodies must be independent (disjoint writes,
+     * no shared random streams).
+     *
+     * The calling thread claims blocks too, beside at most
+     * threadCount() - 1 helper tasks queued on the pool. Completion
+     * is per call: the call waits for its own bodies only, never for
+     * unrelated submit() tasks, and it may return before a helper
+     * that found nothing left to claim has even started (such a
+     * helper never touches `body`). A fan-out the caller finishes
+     * alone, e.g. while every worker is busy, therefore costs only
+     * the helpers' enqueue; there is no size threshold.
+     *
+     * With a single worker, or n == 1, the loop runs inline on the
+     * calling thread in index order — the serial reference path used
+     * by the determinism tests. Otherwise the first exception a body
+     * throws is rethrown here after every body has run. Errors from
+     * submit() tasks are left pending for drain().
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
     /**
-     * Attach a telemetry sink under `prefix`. parallelFor call/item
-     * counts are Stable (thread-count-invariant); submitted-task
-     * counts, queue-depth high-water, and the worker count depend on
-     * scheduling and register as Unstable, so they never enter the
-     * deterministic export. Pass nullptr to detach. Not owned; must
-     * outlive the pool.
+     * Attach a telemetry sink under `prefix`. Every pool metric
+     * registers as Unstable, so none enters the deterministic export:
+     * submitted-task counts, queue-depth high-water and the worker
+     * count depend on scheduling, and parallelFor call/item counts on
+     * how callers partition their work. Pass nullptr to detach. Not
+     * owned; must outlive the pool.
      */
     void attachTelemetry(Telemetry *telemetry,
                          const std::string &prefix = "pool");
@@ -114,10 +127,10 @@ class ThreadPool
 
     /** @name Telemetry plumbing (inert until attachTelemetry). */
     ///@{
-    Counter tmTasks_;          //!< Unstable: runner tasks scale with
+    Counter tmTasks_;          //!< Unstable: helper tasks scale with
                                //!< the worker count
-    Counter tmParallelFors_;   //!< Stable call count
-    Counter tmParallelItems_;  //!< Stable total indices dispatched
+    Counter tmParallelFors_;   //!< Unstable call count
+    Counter tmParallelItems_;  //!< Unstable total indices dispatched
     Gauge tmQueueDepthMax_;    //!< Unstable high-water mark
     Gauge tmWorkers_;          //!< Unstable worker count
     ///@}

@@ -1,17 +1,22 @@
 /**
  * @file
  * Tests for the campaign thread pool: queue semantics, parallelFor
- * coverage, exception propagation, and the DIVOT_THREADS resolution
- * the study driver and benches rely on.
+ * coverage, caller participation and per-call completion, exception
+ * propagation, and the DIVOT_THREADS resolution the study driver and
+ * benches rely on.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -21,13 +26,22 @@ namespace {
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    constexpr std::size_t n = 1000;
-    std::vector<std::atomic<int>> visits(n);
-    pool.parallelFor(n, [&](std::size_t i) { ++visits[i]; });
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+    // Sizes on both sides of n = 8 × threads, where blocks grow past
+    // one index: single-index blocks below it, multi-index blocks
+    // with a short last one above it.
+    for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(pool.threadCount(), threads);
+        for (const std::size_t n : {2u, 3u, 5u, 31u, 33u, 4097u}) {
+            std::vector<std::atomic<int>> visits(n);
+            pool.parallelFor(n, [&](std::size_t i) { ++visits[i]; });
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(visits[i].load(), 1)
+                    << "threads " << threads << ", n " << n
+                    << ", index " << i;
+            }
+        }
+    }
 }
 
 TEST(ThreadPool, ParallelForDisjointWritesMatchSerial)
@@ -72,7 +86,7 @@ TEST(ThreadPool, ParallelForPropagatesFirstException)
                                  throw std::runtime_error("bin 37");
                          }),
         std::runtime_error);
-    // Workers drained before the rethrow: the pool is reusable.
+    // Every body ran before the rethrow: the pool is reusable.
     pool.parallelFor(8, [&](std::size_t) { ++ran; });
     EXPECT_GE(ran.load(), 8);
 }
@@ -94,6 +108,67 @@ TEST(ThreadPool, SubmitExceptionSurfacesAtDrain)
     pool.submit([&done] { ++done; });
     EXPECT_NO_THROW(pool.drain());
     EXPECT_EQ(done.load(), 3);
+}
+
+TEST(ThreadPool, ParallelForLeavesSubmitErrorsForDrain)
+{
+    ThreadPool pool(4);
+    pool.submit([] { throw std::runtime_error("task failed"); });
+    pool.wait();
+
+    // No body throws, so the fan-out must not report (or clear) the
+    // submitted task's error: that one belongs to drain().
+    std::atomic<int> ran{0};
+    EXPECT_NO_THROW(pool.parallelFor(16, [&](std::size_t) { ++ran; }));
+    EXPECT_EQ(ran.load(), 16);
+    EXPECT_THROW(pool.drain(), std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForRunsOnCallerWhenWorkersAreBusy)
+{
+    ThreadPool pool(3);
+    std::mutex mutex;
+    std::condition_variable changed;
+    int parked = 0;
+    bool open = false;
+    for (int w = 0; w < 3; ++w) {
+        pool.submit([&] {
+            std::unique_lock<std::mutex> lock(mutex);
+            ++parked;
+            changed.notify_all();
+            changed.wait(lock, [&] { return open; });
+        });
+    }
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        changed.wait(lock, [&] { return parked == 3; });
+    }
+    auto openGate = [&] {
+        std::lock_guard<std::mutex> lock(mutex);
+        open = true;
+        changed.notify_all();
+    };
+    // Opens the gate after 2 s, so a pool that leaves the bodies to
+    // its (parked) workers fails this test instead of hanging it.
+    std::thread valve([&] {
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            changed.wait_for(lock, std::chrono::seconds(2),
+                             [&] { return open; });
+        }
+        openGate();
+    });
+
+    std::vector<std::thread::id> ranOn(6);
+    pool.parallelFor(ranOn.size(),
+                     [&](std::size_t i) {
+                         ranOn[i] = std::this_thread::get_id();
+                     });
+    openGate();
+    valve.join();
+    pool.drain();
+    for (std::size_t i = 0; i < ranOn.size(); ++i)
+        EXPECT_EQ(ranOn[i], std::this_thread::get_id()) << "index " << i;
 }
 
 TEST(ThreadPool, DrainKeepsFirstOfManyErrors)
