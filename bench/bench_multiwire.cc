@@ -37,14 +37,12 @@ namespace {
 
 /** Build the vibration-stressed fleet used by the determinism gate. */
 ChannelScheduler
-makeFleet(unsigned threads, SchedulerPolicy policy, uint64_t seed,
-          std::size_t measure_batch = 0)
+makeFleet(unsigned threads, SchedulerPolicy policy, uint64_t seed)
 {
     FleetConfig cfg;
     cfg.instruments = 3;
     cfg.policy = policy;
     cfg.threads = threads;
-    cfg.measureBatch = measure_batch;
     ChannelScheduler fleet(cfg, Rng(seed));
     for (std::size_t c = 0; c < 6; ++c) {
         BusChannelConfig channel;
@@ -160,28 +158,6 @@ main(int argc, char **argv)
                     same ? "yes" : "NO — DETERMINISM VIOLATION",
                     same_snapshot ? "yes"
                                   : "NO — DETERMINISM VIOLATION");
-    }
-
-    // Gate 3: cross-channel kernel batching — grouping probes onto a
-    // shared SoA arena (FleetConfig::measureBatch) must reproduce the
-    // per-channel fleet bit for bit, trace and telemetry alike,
-    // including a width that does not divide the probe count.
-    for (const std::size_t batch : {std::size_t{2}, std::size_t{3}}) {
-        ChannelScheduler base =
-            makeFleet(1, SchedulerPolicy::RoundRobin, opt.seed);
-        ChannelScheduler batched = makeFleet(
-            4, SchedulerPolicy::RoundRobin, opt.seed, batch);
-        const std::vector<double> tb = fleetTrace(base, ticks);
-        const std::vector<double> tg = fleetTrace(batched, ticks);
-        const bool same = tb == tg;
-        const bool same_snapshot = base.telemetry().exportJson() ==
-            batched.telemetry().exportJson();
-        identical = identical && same && same_snapshot;
-        std::printf("fleet 6ch batched(batch=%zu, 4 threads) == "
-                    "per-channel (bit-identical): trace %s, "
-                    "telemetry %s\n",
-                    batch, same ? "yes" : "NO — BATCHING VIOLATION",
-                    same_snapshot ? "yes" : "NO — BATCHING VIOLATION");
     }
 
     if (opt.json) {

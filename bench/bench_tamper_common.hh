@@ -72,7 +72,7 @@ struct TamperRig
     /**
      * Averaged fingerprint of a (possibly tampered) line state. The
      * repetitions fan out across the worker lanes; each lane keeps a
-     * persistent ITdr so the APC inverse tables are built once, and
+     * persistent ITdr so its reconstruction plan is acquired once, and
      * lane streams advance in a fixed order across calls.
      */
     Fingerprint

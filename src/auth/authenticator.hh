@@ -182,17 +182,6 @@ class Authenticator
         itdr_.attachFaultInjector(injector);
     }
 
-    /**
-     * Point the underlying instrument's SoA strobe sweep at an
-     * external scratch arena (fleet batched-scheduling hook; nullptr
-     * restores the owned arena). Not owned; must outlive the
-     * attachment. See ITdr::attachKernelArena.
-     */
-    void attachKernelArena(StrobeSoA *arena)
-    {
-        itdr_.attachKernelArena(arena);
-    }
-
     /** @return consecutive unhealthy rounds on the current streak. */
     unsigned unhealthyStreak() const { return consecutiveUnhealthy_; }
 

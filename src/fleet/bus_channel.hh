@@ -164,16 +164,6 @@ class BusChannel
     }
 
     /**
-     * Point this channel's instrument at an external SoA kernel
-     * arena (batched scheduling; nullptr restores the owned arena).
-     * Not owned; must outlive the channel or be detached first.
-     */
-    void attachKernelArena(StrobeSoA *arena)
-    {
-        auth_->attachKernelArena(arena);
-    }
-
-    /**
      * Attach a telemetry sink to this channel's authenticator and
      * instrument (metrics land under "auth.<name>" / "itdr.<name>").
      * Not owned; must outlive the channel.

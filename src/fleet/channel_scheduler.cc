@@ -87,10 +87,6 @@ ChannelScheduler::ChannelScheduler(FleetConfig config, Rng rng)
     tmUntrusted_ = reg.counter("fleet.verdicts.untrusted");
     tmAlarms_ = reg.counter("fleet.alarms");
     tmTrustFlips_ = reg.counter("fleet.trust_flips");
-    tmKernelBatches_ = reg.counter("fleet.kernel.batches",
-                                   MetricStability::Unstable);
-    tmKernelBatchedProbes_ = reg.counter("fleet.kernel.batched_probes",
-                                         MetricStability::Unstable);
     tmStaleness_ = reg.histogram("fleet.staleness",
                                  {1, 2, 4, 8, 16, 32});
     tmRiskWeight_ = reg.histogram("fleet.risk_weight", {1, 4, 8});
@@ -713,36 +709,11 @@ ChannelScheduler::launchBarrierProbes()
     round_.probes.resize(epochReady_.size());
     // Disjoint channels, disjoint result slots: bit-identical at any
     // thread count.
-    const std::size_t batch =
-        config_.measureBatch > 1 ? config_.measureBatch : 1;
-    if (batch > 1) {
-        // Batched mode: group g probes `batch` consecutive ready
-        // channels serially against one shared SoA arena.
-        const std::size_t groups =
-            (epochReady_.size() + batch - 1) / batch;
-        if (kernelArenas_.size() < groups)
-            kernelArenas_.resize(groups);
-        pool_->parallelFor(groups, [&](std::size_t g) {
-            const std::size_t lo = g * batch;
-            const std::size_t hi =
-                std::min(lo + batch, epochReady_.size());
-            for (std::size_t j = lo; j < hi; ++j) {
-                const std::size_t c = epochReady_[j];
-                channels_[c]->attachKernelArena(&kernelArenas_[g]);
-                round_.probes[j].channel = c;
-                round_.probes[j].verdict = channels_[c]->monitorAt(wall);
-                channels_[c]->attachKernelArena(nullptr);
-            }
-        });
-        tmKernelBatches_.add(groups);
-        tmKernelBatchedProbes_.add(epochReady_.size());
-    } else {
-        pool_->parallelFor(epochReady_.size(), [&](std::size_t i) {
-            const std::size_t c = epochReady_[i];
-            round_.probes[i].channel = c;
-            round_.probes[i].verdict = channels_[c]->monitorAt(wall);
-        });
-    }
+    pool_->parallelFor(epochReady_.size(), [&](std::size_t i) {
+        const std::size_t c = epochReady_[i];
+        round_.probes[i].channel = c;
+        round_.probes[i].verdict = channels_[c]->monitorAt(wall);
+    });
 
     // Completions land on the tick boundary, ascending channel order
     // (epochReady_ is ascending), followed by fusion and — with a

@@ -55,7 +55,6 @@
 #include "fleet/bus_channel.hh"
 #include "fleet/fleet_auth.hh"
 #include "fleet/reactor.hh"
-#include "itdr/kernels/soa.hh"
 #include "store/enrollment_db.hh"
 #include "telemetry/telemetry.hh"
 #include "util/rng.hh"
@@ -86,20 +85,6 @@ struct FleetConfig
     TelemetryConfig telemetry;   //!< fleet-owned observability (on by
                                  //!< default; enabled=false for the
                                  //!< zero-overhead ablation path)
-    std::size_t measureBatch = 0; //!< cross-channel kernel batching
-                                 //!< (Barrier mode only; Pipelined
-                                 //!< probes dispatch one at a time):
-                                 //!< 0 or 1 probes each selected
-                                 //!< channel as its own pool item;
-                                 //!< N > 1 lets one worker probe N
-                                 //!< consecutive selected channels
-                                 //!< serially, sharing one SoA kernel
-                                 //!< arena (fewer hot allocations,
-                                 //!< better cache reuse when channels
-                                 //!< outnumber workers). Results are
-                                 //!< byte-identical either way: the
-                                 //!< arena is fully overwritten per
-                                 //!< measurement (see StrobeSoA)
     ReactorConfig reactor;       //!< event-core knobs: scheduling
                                  //!< mode, epoch length, queue bound
 
@@ -430,10 +415,6 @@ class ChannelScheduler
     FleetVerdict lastVerdict_{};
     bool lastTrusted_ = true; //!< previous tick's busTrusted (for
                               //!< trust-flip events)
-    /** Shared SoA kernel arenas, one per probe group of a batched
-     *  tick (grow-only; a group's probes run serially on one
-     *  thread, so one arena per group suffices). */
-    std::vector<StrobeSoA> kernelArenas_;
 
     /** @name Per-channel state machine + routing indexes. */
     ///@{
@@ -495,12 +476,6 @@ class ChannelScheduler
     Counter tmUntrusted_;
     Counter tmAlarms_;
     Counter tmTrustFlips_;
-    Counter tmKernelBatches_;      //!< Unstable: batching is a purely
-                                   //!< operational knob, so its
-                                   //!< accounting must stay out of the
-                                   //!< stable export the batched-vs-
-                                   //!< per-channel identity compares
-    Counter tmKernelBatchedProbes_; //!< Unstable (same reason)
     HistogramMetric tmStaleness_;
     HistogramMetric tmRiskWeight_;
     Gauge tmUtilization_;     //!< fleet.instrument.utilization, ‰

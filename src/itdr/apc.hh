@@ -58,11 +58,12 @@ double apcReconstruct(double p, const std::vector<double> &levels,
  * Precomputed inverse of the APC mixture CDF.
  *
  * The bisection in apcReconstruct costs dozens of Phi evaluations per
- * call; a measurement campaign reconstructs millions of bins whose
- * reference-level sets repeat. This table samples the mixture CDF
- * once on a fine voltage grid and answers reconstructions with a
- * binary search plus linear interpolation — the software analogue of
- * the small reconstruction ROM a hardware implementation would use.
+ * call; an iTDR reconstruction plan reconstructs every possible hit
+ * count of every bin. This table samples the mixture CDF once on a
+ * fine voltage grid and answers reconstructions with a binary search
+ * plus linear interpolation; the plan keeps only the answers, one
+ * row per bin — the reconstruction ROM a hardware implementation
+ * would hold.
  */
 class ApcInverseTable
 {
@@ -87,17 +88,14 @@ class ApcInverseTable
   private:
     double vLo_, vHi_, dv_;
     /** cdf_.front() / cdf_.back(), duplicated inline so the saturated
-     *  early-outs in reconstruct() never touch the (large, usually
-     *  cache-cold) grid: a sweep holds one table per bin and most
-     *  bins reconstruct a saturated probability. */
+     *  early-outs in reconstruct() never touch the grid. */
     double cdfFront_ = 0.0, cdfBack_ = 0.0;
     std::vector<double> cdf_;  //!< CDF at vLo_ + i * dv_
     /** Two-level search: dir_[b] = cdf_[b * dirStep_]. An interior
      *  reconstruct first brackets p in this ~32-entry directory, then
      *  binary-searches one dirStep_-wide window of cdf_ — same index
      *  as a whole-table lower_bound (the CDF is monotone), but ~2
-     *  cache lines touched instead of ~10 across a table that is
-     *  usually cold (a sweep holds one 8 KiB table per bin). */
+     *  cache lines touched instead of ~10. */
     std::vector<double> dir_;
     std::size_t dirStep_ = 1;
 };

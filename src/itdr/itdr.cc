@@ -20,8 +20,9 @@ namespace divot {
 struct ReconstructionPlan
 {
     /**
-     * Everything the plan builder reads, so two instruments with
-     * equal keys would build byte-identical plans.
+     * Everything the plan builder reads, plus the analytic engine's
+     * frozen reference levels, so two instruments with equal keys
+     * would build byte-identical plans.
      */
     struct Key
     {
@@ -29,27 +30,20 @@ struct ReconstructionPlan
         unsigned bins = 0;
         unsigned trials = 0;
         unsigned counterWidthBits = 0;
-        StrobeModel engine = StrobeModel::Sampled;
         /** pdm.levelsAt(m * tau) per bin (bins x levels, row-major). */
         std::vector<double> binLevels;
-        /** Analytic engine: the reference level each bin's j-th
-         *  strobe sees (bins x levels, row-major); empty for
-         *  Sampled. */
+        /** The reference level each bin's j-th strobe sees under the
+         *  analytic engine (bins x levels, row-major). */
         std::vector<double> analyticLevels;
     };
 
     std::shared_ptr<const Key> key;
-    /** Per-bin inverse-CDF tables. */
-    std::vector<ApcInverseTable> inverse;
-    /** Analytic engine: precomputed reconstruction per (bin, hit
-     *  count) — bins x (trials + 1), row-major, pre offset
-     *  correction. A hit count only takes trials + 1 values, so the
-     *  whole reconstruct sweep collapses to independent table loads
-     *  (no data-dependent binary-search chains over the cold CDF
-     *  grids); each entry is the verbatim output of
-     *  inverse[m].reconstruct on the HitCounter's probability, so
-     *  results are bit-identical to the per-bin path. Empty for
-     *  Sampled. */
+    /** Reconstruction per (bin, hit count) — bins x (trials + 1),
+     *  row-major, before offset correction. A bin's hit count takes
+     *  only trials + 1 values, so its inverse mixture CDF collapses
+     *  to one row of this table (the reconstruction ROM of a hardware
+     *  iTDR). Entry h of row m is the bin's ApcInverseTable
+     *  reconstruct of the HitCounter's probability for h hits. */
     std::vector<double> iipLut;
 };
 
@@ -84,7 +78,7 @@ sameKey(const PlanKey &a, const PlanKey &b)
     return std::memcmp(&a.sigma, &b.sigma, sizeof(double)) == 0 &&
         a.bins == b.bins && a.trials == b.trials &&
         a.counterWidthBits == b.counterWidthBits &&
-        a.engine == b.engine && sameBytes(a.binLevels, b.binLevels) &&
+        sameBytes(a.binLevels, b.binLevels) &&
         sameBytes(a.analyticLevels, b.analyticLevels);
 }
 
@@ -95,8 +89,7 @@ keyHash(const PlanKey &key)
     h.add(key.sigma)
         .add(static_cast<uint64_t>(key.bins))
         .add(static_cast<uint64_t>(key.trials))
-        .add(static_cast<uint64_t>(key.counterWidthBits))
-        .add(static_cast<uint64_t>(key.engine));
+        .add(static_cast<uint64_t>(key.counterWidthBits));
     for (double v : key.binLevels)
         h.add(v);
     for (double v : key.analyticLevels)
@@ -110,31 +103,25 @@ buildPlan(std::shared_ptr<const PlanKey> key)
     auto plan = std::make_shared<ReconstructionPlan>();
     const PlanKey &k = *key;
     const std::size_t levels = k.binLevels.size() / k.bins;
-    plan->inverse.reserve(k.bins);
+    const std::size_t stride = static_cast<std::size_t>(k.trials) + 1;
+    plan->iipLut.resize(static_cast<std::size_t>(k.bins) * stride);
+    HitCounter counter(k.counterWidthBits);
     for (unsigned m = 0; m < k.bins; ++m) {
+        // The bin's inverse-CDF table lives only while its row fills.
         const auto first = k.binLevels.begin() +
             static_cast<std::ptrdiff_t>(m * levels);
-        plan->inverse.emplace_back(
+        const ApcInverseTable inverse(
             std::vector<double>(first,
                                 first + static_cast<std::ptrdiff_t>(levels)),
             k.sigma);
-    }
-    if (k.engine == StrobeModel::Binomial) {
-        // One row per bin, one entry per possible hit count. The
-        // counter round-trip reproduces finishBin's probability
-        // computation exactly (including any width clamping), so a
-        // LUT lookup is bit-identical to calling reconstruct in the
-        // bin loop.
-        const std::size_t stride = static_cast<std::size_t>(k.trials) + 1;
-        plan->iipLut.resize(static_cast<std::size_t>(k.bins) * stride);
-        HitCounter counter(k.counterWidthBits);
-        for (unsigned m = 0; m < k.bins; ++m) {
-            for (unsigned h = 0; h <= k.trials; ++h) {
-                counter.reset();
-                counter.recordBatch(h, k.trials);
-                plan->iipLut[static_cast<std::size_t>(m) * stride + h] =
-                    plan->inverse[m].reconstruct(counter.probability());
-            }
+        double *row = plan->iipLut.data() + m * stride;
+        for (unsigned h = 0; h <= k.trials; ++h) {
+            // The counter round trip yields the probability a
+            // measurement's hit register reports for h hits,
+            // including any width clamping.
+            counter.reset();
+            counter.recordBatch(h, k.trials);
+            row[h] = inverse.reconstruct(counter.probability());
         }
     }
     plan->key = std::move(key);
@@ -394,8 +381,8 @@ ITdr::recalibrate()
     }
     calibratedSigma_ = result.sigma;
     offsetCorrection_ = result.offset;
-    // The inverse tables bake in sigma: move to the plan of the fresh
-    // estimate on the frozen bin grid.
+    // The reconstruction table bakes in sigma: move to the plan of the
+    // fresh estimate on the frozen bin grid.
     if (bins_ != 0)
         acquirePlan();
     return true;
@@ -409,7 +396,6 @@ ITdr::acquirePlan()
     key.bins = bins_;
     key.trials = trials_;
     key.counterWidthBits = config_.counterWidthBits;
-    key.engine = config_.strobeModel;
     const unsigned levels = pdm_.levelCount();
     const std::size_t cells = static_cast<std::size_t>(bins_) * levels;
     key.binLevels.reserve(cells);
@@ -418,23 +404,20 @@ ITdr::acquirePlan()
             pdm_.levelsAt(static_cast<double>(m) * pll_.phaseStep());
         key.binLevels.insert(key.binLevels.end(), at.begin(), at.end());
     }
-    if (config_.strobeModel == StrobeModel::Binomial) {
-        // The analytic engine's per-bin reference levels. Trigger
-        // cycles only ever advance in whole measurements of
-        // bins_ * trials_ clock-lane triggers, and trials_ is a
-        // multiple of the Vernier period, so every bin always starts
-        // at modulation phase 0: the level sequence seen at bin m is
-        // measurement-invariant and can be frozen with the bin grid.
-        const double t_clk = pll_.clockPeriod();
-        key.analyticLevels.resize(cells);
-        for (unsigned m = 0; m < bins_; ++m) {
-            const double t0 = static_cast<double>(m) * pll_.phaseStep();
-            for (unsigned j = 0; j < levels; ++j) {
-                key.analyticLevels[static_cast<std::size_t>(m) * levels +
-                                   j] =
-                    pdm_.referenceAt(static_cast<double>(j) * t_clk +
-                                     t0);
-            }
+    // The analytic engine's per-bin reference levels, kept for every
+    // engine so Sampled and Binomial instruments of one design share
+    // a plan. Trigger cycles only ever advance in whole measurements
+    // of bins_ * trials_ clock-lane triggers, and trials_ is a
+    // multiple of the Vernier period, so every bin always starts at
+    // modulation phase 0: the level sequence seen at bin m is
+    // measurement-invariant and can be frozen with the bin grid.
+    const double t_clk = pll_.clockPeriod();
+    key.analyticLevels.resize(cells);
+    for (unsigned m = 0; m < bins_; ++m) {
+        const double t0 = static_cast<double>(m) * pll_.phaseStep();
+        for (unsigned j = 0; j < levels; ++j) {
+            key.analyticLevels[static_cast<std::size_t>(m) * levels + j] =
+                pdm_.referenceAt(static_cast<double>(j) * t_clk + t0);
         }
     }
     plan_ = planRegistry().acquire(std::move(key));
@@ -532,7 +515,6 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
     }
 
     Waveform iip = Waveform::zeros(tau, bins_);
-    HitCounter counter(config_.counterWidthBits);
 
     // Resolve this measurement's fault frame (a pure function of the
     // injector's measurement index, so campaigns stay deterministic at
@@ -541,17 +523,35 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
     if (faultInjector_ != nullptr)
         fault = faultInjector_->nextFrame();
     const double two_pi = 6.283185307179586;
-    // A failed ETS phase step leaves the sampling offset lagging the
-    // nominal grid; lags accumulate over the sweep.
-    double phase_lag = 0.0;
     unsigned saturated_bins = 0;
     unsigned non_finite_bins = 0;
 
-    // Per-bin fault application, identical for the batch and scalar
-    // paths: a signal-input bias (offset drift + EMI burst evaluated
-    // at the bin's nominal time, loop-invariant within the bin) before
-    // strobing, and post-count corruption of the hit register (stuck
-    // comparator output, register bit flips).
+    // Per-bin fault decisions, drawn up front bin by bin in one order:
+    // the PLL dropout, then the counter flip and its bit. binRng is
+    // drawn nowhere else, so every engine sees the same decisions. A
+    // failed ETS phase step leaves the sampling offset lagging the
+    // nominal grid; lags accumulate over the sweep.
+    sampleTimes_.resize(bins_);
+    flipMasks_.resize(bins_);
+    double phase_lag = 0.0;
+    for (unsigned m = 0; m < bins_; ++m) {
+        if (fault.pllDropoutRate > 0.0 &&
+            fault.binRng.bernoulli(fault.pllDropoutRate)) {
+            phase_lag += tau;
+        }
+        sampleTimes_[m] =
+            std::max(0.0, static_cast<double>(m) * tau - phase_lag);
+        flipMasks_[m] = 0;
+        if (fault.counterFlipRate > 0.0 &&
+            fault.binRng.bernoulli(fault.counterFlipRate)) {
+            flipMasks_[m] = 1u << static_cast<unsigned>(
+                fault.binRng.uniformInt(config_.counterWidthBits));
+        }
+    }
+
+    // A signal-input bias (offset drift + EMI burst evaluated at the
+    // bin's nominal time, loop-invariant within the bin) before
+    // strobing.
     auto faultBias = [&](double t0) {
         double bias = fault.comparatorOffset;
         if (fault.emiAmplitude > 0.0) {
@@ -561,32 +561,20 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
         }
         return bias;
     };
-    auto faultSampleTime = [&](double t0) {
-        if (fault.pllDropoutRate > 0.0 &&
-            fault.binRng.bernoulli(fault.pllDropoutRate)) {
-            phase_lag += tau;
-        }
-        return std::max(0.0, t0 - phase_lag);
-    };
-    auto faultHits = [&](unsigned hits) {
+    // Every engine finishes a bin here: post-count corruption of the
+    // hit register (stuck comparator output; a bit flip, read as a
+    // full count when it lands past trials_), then the plan's
+    // reconstruction of the count.
+    const std::size_t stride = static_cast<std::size_t>(trials_) + 1;
+    auto finishBin = [&](unsigned m, unsigned hits) {
         if (fault.comparatorStuck >= 0)
             hits = fault.comparatorStuck == 1 ? trials_ : 0;
-        if (fault.counterFlipRate > 0.0 &&
-            fault.binRng.bernoulli(fault.counterFlipRate)) {
-            const unsigned bit = static_cast<unsigned>(
-                fault.binRng.uniformInt(config_.counterWidthBits));
-            hits ^= 1u << bit;
-            if (hits > trials_)
-                hits = trials_;
-        }
-        return hits;
-    };
-    auto finishBin = [&](unsigned m, unsigned hits) {
+        if (flipMasks_[m] != 0)
+            hits = std::min(hits ^ flipMasks_[m], trials_);
         if (hits == 0 || hits >= trials_)
             ++saturated_bins;
-        counter.reset();
-        counter.recordBatch(hits, trials_);
-        double v = plan.inverse[m].reconstruct(counter.probability()) -
+        double v = plan.iipLut[static_cast<std::size_t>(m) * stride +
+                               hits] -
             offsetCorrection_;
         if (!std::isfinite(v)) {
             ++non_finite_bins;
@@ -651,83 +639,39 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
     if (analytic) {
         // O(levels) analytic path: each bin's hit count is drawn as
         // sum_j Binomial(trials/levels, p_j) over the bin's frozen
-        // Vernier levels — no per-trial work at all. The trigger
-        // generator still advances arithmetically so cycle accounting
-        // and fault frames are identical to the sampled engine.
+        // Vernier levels — no per-trial work at all — in whole-sweep
+        // stages (gather signal levels, one probability-grid kernel,
+        // one binomial-lane kernel, reduce). The trigger generator
+        // still advances arithmetically so cycle accounting and fault
+        // frames are identical to the sampled engine.
         const unsigned levels = pdm_.levelCount();
-        const unsigned per_level = trials_ / levels;
-        // The SoA sweep runs whole-measurement stages (gather signal
-        // levels, one probability-grid kernel, one binomial-lane
-        // kernel, reduce) instead of a per-bin loop. That reorders
-        // nothing the comparator stream can see — but a fault frame
-        // drawing from binRng in *both* the sample-time and hit hooks
-        // would interleave those draws per bin in the legacy loop and
-        // stage-by-stage here, so such frames keep the per-bin loop.
-        const bool soa_ok = fault.pllDropoutRate <= 0.0 &&
-            fault.counterFlipRate <= 0.0;
-        if (soa_ok) {
-            StrobeSoA &soa = *soa_;
-            soa.resize(bins_, levels);
-            for (unsigned m = 0; m < bins_; ++m) {
-                const double t0 = static_cast<double>(m) * tau;
-                triggerGen_.advanceClockTriggers(trials_);
-                soa.vSig[m] =
-                    trace.valueAt(faultSampleTime(t0)) + faultBias(t0);
-                pll_.stepPhase();
+        soa_.resize(bins_, levels);
+        for (unsigned m = 0; m < bins_; ++m) {
+            const double t0 = static_cast<double>(m) * tau;
+            triggerGen_.advanceClockTriggers(trials_);
+            soa_.vSig[m] = trace.valueAt(sampleTimes_[m]) + faultBias(t0);
+            pll_.stepPhase();
+        }
+        comparator_.strobeAnalyticSoA(*kernels_,
+                                      plan.key->analyticLevels.data(),
+                                      bins_, levels, trials_ / levels,
+                                      soa_);
+        for (unsigned m = 0; m < bins_; ++m) {
+            // Independent LUT loads; the prefetch keeps the sweep from
+            // serializing on the table's cache misses.
+            if (m + 8 < bins_) {
+                __builtin_prefetch(
+                    &plan.iipLut[static_cast<std::size_t>(m + 8) * stride +
+                                 soa_.hits[m + 8]]);
             }
-            comparator_.strobeAnalyticSoA(*kernels_,
-                                          plan.key->analyticLevels.data(),
-                                          bins_, levels, per_level,
-                                          soa);
-            // finishBin via the plan's LUT: same saturation/finiteness
-            // accounting, same reconstruct value (precomputed), but
-            // independent loads instead of per-bin CDF searches — the
-            // prefetch keeps the sweep from serializing on the 0.5 MB
-            // table's cache misses.
-            const std::size_t stride =
-                static_cast<std::size_t>(trials_) + 1;
-            for (unsigned m = 0; m < bins_; ++m) {
-                if (m + 8 < bins_) {
-                    __builtin_prefetch(
-                        &plan.iipLut[static_cast<std::size_t>(m + 8) *
-                                         stride +
-                                     soa.hits[m + 8]]);
-                }
-                const unsigned hits = faultHits(soa.hits[m]);
-                if (hits == 0 || hits >= trials_)
-                    ++saturated_bins;
-                double v =
-                    plan.iipLut[static_cast<std::size_t>(m) * stride +
-                                hits] -
-                    offsetCorrection_;
-                if (!std::isfinite(v)) {
-                    ++non_finite_bins;
-                    v = 0.0;
-                }
-                iip[m] = v;
-            }
-            if (telemetry_ != nullptr) {
-                (kernels_->target == SimdTarget::Avx2 ? tmKernelAvx2_
-                 : kernels_->target == SimdTarget::Neon
-                     ? tmKernelNeon_
-                     : tmKernelScalar_)
-                    .add();
-            }
-        } else {
-            for (unsigned m = 0; m < bins_; ++m) {
-                const double t0 = static_cast<double>(m) * tau;
-                triggerGen_.advanceClockTriggers(trials_);
-                const double v_sig =
-                    trace.valueAt(faultSampleTime(t0)) + faultBias(t0);
-                const unsigned hits =
-                    faultHits(comparator_.strobeAnalytic(
-                        v_sig,
-                        plan.key->analyticLevels.data() +
-                            static_cast<std::size_t>(m) * levels,
-                        levels, per_level));
-                finishBin(m, hits);
-                pll_.stepPhase();
-            }
+            finishBin(m, soa_.hits[m]);
+        }
+        if (telemetry_ != nullptr) {
+            (kernels_->target == SimdTarget::Avx2 ? tmKernelAvx2_
+             : kernels_->target == SimdTarget::Neon
+                 ? tmKernelNeon_
+                 : tmKernelScalar_)
+                .add();
         }
     } else if (batch) {
         const unsigned levels = pdm_.levelCount();
@@ -750,16 +694,16 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
             kernels_->tilePeriodic(periodScratch_.data(), levels,
                                    refScratch_.data(), trials_);
             const double v_sig =
-                trace.valueAt(faultSampleTime(t0)) + faultBias(t0);
-            const unsigned hits = faultHits(comparator_.strobeBatch(
-                v_sig, refScratch_.data(), trials_));
-            finishBin(m, hits);
+                trace.valueAt(sampleTimes_[m]) + faultBias(t0);
+            finishBin(m, comparator_.strobeBatch(v_sig, refScratch_.data(),
+                                                 trials_));
             pll_.stepPhase();
         }
     } else {
+        HitCounter counter(config_.counterWidthBits);
         for (unsigned m = 0; m < bins_; ++m) {
             const double t0 = static_cast<double>(m) * tau;
-            const double t_sig0 = faultSampleTime(t0);
+            const double t_sig0 = sampleTimes_[m];
             const double bias = faultBias(t0);
             // Without jitter the signal lookup is loop-invariant
             // (the PDM reference still varies per trigger through
@@ -783,8 +727,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
                 const double v_ref = pdm_.referenceAt(t_abs);
                 counter.record(comparator_.strobe(v_sig, v_ref));
             }
-            finishBin(m, faultHits(
-                static_cast<unsigned>(counter.hits())));
+            finishBin(m, static_cast<unsigned>(counter.hits()));
             pll_.stepPhase();
         }
     }

@@ -142,9 +142,10 @@ struct IipMeasurement
 };
 
 /**
- * The per-bin inverse-CDF tables, the analytic engine's frozen
- * reference levels and the reconstruction LUT of one instrument
- * configuration on one bin grid. Defined in itdr.cc: instruments
+ * The reconstruction table (one row of reconstructed voltages per
+ * bin, one entry per possible hit count) and the analytic engine's
+ * frozen reference levels of one instrument design on one bin grid,
+ * whichever strobe engine measures. Defined in itdr.cc: instruments
  * acquire it from a process-wide registry keyed by the exact inputs
  * it is built from, share it read-only, and never mutate it
  * (DESIGN.md §8).
@@ -163,14 +164,6 @@ class ITdr
      *               data)
      */
     ITdr(ItdrConfig config, Rng rng);
-
-    // The active kernel arena points into the instrument itself
-    // (soaOwn_), so a copy or a move would keep sweeping through the
-    // source's arena.
-    ITdr(const ITdr &) = delete;
-    ITdr &operator=(const ITdr &) = delete;
-    ITdr(ITdr &&) = delete;
-    ITdr &operator=(ITdr &&) = delete;
 
     /**
      * Measure the IIP of a line.
@@ -251,8 +244,8 @@ class ITdr
      * @return the reconstruction plan measure() reads: null until the
      *  first measure() or idealIip() freezes the bin grid, then shared
      *  with every instrument whose plan inputs (sigma, bin grid,
-     *  effective trials, counter width, engine, reference levels)
-     *  are equal.
+     *  effective trials, counter width, reference levels) are equal,
+     *  whichever strobe engine it runs.
      */
     const std::shared_ptr<const ReconstructionPlan> &
     reconstructionPlan() const
@@ -281,20 +274,6 @@ class ITdr
     /** @return the resolved strobe-kernel set this instrument runs
      *  (fixed at construction; see ItdrConfig::simd). */
     const StrobeKernels &kernels() const { return *kernels_; }
-
-    /**
-     * Point the analytic engine's SoA sweep at an external scratch
-     * arena instead of the instrument-owned one. Every arena lane is
-     * fully overwritten per measurement (see StrobeSoA), so sharing
-     * one arena across instruments measured *serially* — the fleet
-     * scheduler's batched mode — changes allocation behaviour, never
-     * results. Pass nullptr to return to the owned arena. Not owned;
-     * must outlive the attachment.
-     */
-    void attachKernelArena(StrobeSoA *arena)
-    {
-        soa_ = arena != nullptr ? arena : &soaOwn_;
-    }
 
   private:
     ItdrConfig config_;
@@ -326,14 +305,16 @@ class ITdr
     /** One Vernier period of reference levels (levelCount() values),
      *  reused across bins so measure() allocates nothing. */
     std::vector<double> periodScratch_;
+    /** Per-bin strobe offset after the fault frame's PLL dropouts. */
+    std::vector<double> sampleTimes_;
+    /** Per-bin hit-register bits the fault frame flips (0: none). */
+    std::vector<unsigned> flipMasks_;
     /** One-time fallback warning latch (per instrument). */
     bool analyticFallbackWarned_ = false;
     /** Resolved strobe kernels (never null; set in the ctor). */
     const StrobeKernels *kernels_ = nullptr;
-    /** Instrument-owned SoA arena for the analytic sweep. */
-    StrobeSoA soaOwn_;
-    /** Active arena: soaOwn_ unless attachKernelArena overrode it. */
-    StrobeSoA *soa_ = &soaOwn_;
+    /** SoA arena of the analytic sweep. */
+    StrobeSoA soa_;
 
     /** @name Telemetry plumbing (inert until attachTelemetry). */
     ///@{

@@ -6,12 +6,8 @@
  * the reduced per-bin hit counts.
  *
  * Every field is fully overwritten by each measure pass (resize +
- * full writes), so an arena can be shared serially across
- * instruments — the fleet scheduler's batched mode hands one arena
- * to a whole probe group — without any cross-measurement state
- * leaking through it. Sharing therefore cannot perturb results:
- * byte-identity of batched vs per-channel scheduling is by
- * construction, and the property harness pins it.
+ * full writes), so no state carries from one measurement to the
+ * next; each instrument owns one arena and keeps its capacity.
  */
 
 #ifndef DIVOT_ITDR_KERNELS_SOA_HH

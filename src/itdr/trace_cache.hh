@@ -87,6 +87,13 @@ class TraceCache
      */
     explicit TraceCache(std::size_t capacity = 8);
 
+    // index_ holds iterators into entries_, so a memberwise copy would
+    // index the source's list. A move carries both along intact.
+    TraceCache(const TraceCache &) = delete;
+    TraceCache &operator=(const TraceCache &) = delete;
+    TraceCache(TraceCache &&) = default;
+    TraceCache &operator=(TraceCache &&) = default;
+
     /**
      * Look up a trace; promotes the entry to most-recently-used.
      *

@@ -141,8 +141,7 @@ generateCase(std::size_t index)
     // every field above keeps the value it had before the reactor
     // existed (cases stay reproducible across harness revisions). A
     // third of the cases run the Pipelined mode, with a 1-3 slot
-    // fusion epoch; batching stays per-channel there (measureBatch is
-    // a Barrier-only knob and is ignored by Pipelined dispatch).
+    // fusion epoch.
     if (rng.bernoulli(1.0 / 3.0)) {
         pc.fleet.reactor.mode = ReactorMode::Pipelined;
         pc.fleet.reactor.epochSlots = 1 + rng.uniformInt(3);
@@ -198,18 +197,13 @@ generateCase(std::size_t index)
  * Build and run the case's fleet at the given thread count and return
  * the scheduler (whose Telemetry holds the run's full accounting).
  * A fresh FaultInjector is created per run so the injected schedule
- * restarts from measurement 0. `measure_batch` overrides the fleet's
- * cross-channel kernel batching width (0 keeps per-channel probing)
- * so the batched-vs-per-channel invariant can rerun the same case
- * both ways.
+ * restarts from measurement 0.
  */
 inline ChannelScheduler
-runCase(const PropertyCase &pc, unsigned threads,
-        std::size_t measure_batch = 0)
+runCase(const PropertyCase &pc, unsigned threads)
 {
     FleetConfig cfg = pc.fleet;
     cfg.threads = threads;
-    cfg.measureBatch = measure_batch;
     ChannelScheduler fleet(cfg, Rng(pc.seed));
     for (std::size_t c = 0; c < pc.channels; ++c) {
         BusChannelConfig channel = pc.channel;

@@ -217,41 +217,6 @@ TEST(FleetScheduler, BinomialStrobeModelRunsFleetEndToEnd)
               verdict_fleet.config().similarityThreshold);
 }
 
-TEST(FleetScheduler, BatchedKernelArenaBitIdenticalToPerChannel)
-{
-    // Cross-channel kernel batching (FleetConfig::measureBatch)
-    // shares one SoA arena per probe group. The arena is fully
-    // overwritten per measurement, so batched scheduling must leave
-    // no trace in the results: every batch width — including widths
-    // that don't divide the probe count — yields the same bytes as
-    // per-channel mode, at any thread count.
-    auto makeBatchedFleet = [](std::size_t batch, unsigned threads) {
-        FleetConfig cfg;
-        cfg.instruments = 6;
-        cfg.policy = SchedulerPolicy::RoundRobin;
-        cfg.threads = threads;
-        cfg.measureBatch = batch;
-        ChannelScheduler fleet(cfg, Rng(42));
-        for (std::size_t c = 0; c < 6; ++c) {
-            BusChannelConfig ch = quickChannel(c);
-            ch.itdr.strobeModel = StrobeModel::Binomial;
-            fleet.addChannel(ch);
-        }
-        fleet.calibrateAll();
-        return fleet;
-    };
-    ChannelScheduler base = makeBatchedFleet(0, 1);
-    const FleetTrace want = runFleet(base, 8);
-    for (const std::size_t batch : {2ul, 4ul, 6ul}) {
-        for (const unsigned threads : {1u, 4u}) {
-            ChannelScheduler fleet = makeBatchedFleet(batch, threads);
-            const FleetTrace got = runFleet(fleet, 8);
-            EXPECT_EQ(got, want)
-                << "batch=" << batch << " threads=" << threads;
-        }
-    }
-}
-
 TEST(FleetScheduler, BitIdenticalWithFaultPlanActive)
 {
     // Instrument faults on one channel must not break the

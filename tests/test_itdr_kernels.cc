@@ -11,10 +11,10 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <type_traits>
 #include <vector>
 
 #include "analog/comparator.hh"
+#include "fault/fault.hh"
 #include "itdr/itdr.hh"
 #include "itdr/kernels/kernels.hh"
 #include "itdr/kernels/soa.hh"
@@ -333,18 +333,7 @@ TEST_F(DispatchEnv, UnsupportedForcedTargetFallsBackToScalar)
     }
 }
 
-// The active arena points into the instrument (its owned scratch),
-// so a copied or moved-to ITdr would sweep through its source's
-// arena: racing it while both measure, reading freed memory once the
-// source dies. Copy and move are deleted.
-static_assert(!std::is_copy_constructible_v<ITdr>);
-static_assert(!std::is_copy_assignable_v<ITdr>);
-static_assert(!std::is_move_constructible_v<ITdr>);
-static_assert(!std::is_move_assignable_v<ITdr>);
-
-/** Full-instrument determinism per dispatch target, plus arena
- *  sharing: a measure through a caller-attached arena must be
- *  byte-identical to one through the instrument's own scratch. */
+/** Full-instrument determinism per dispatch target. */
 class ItdrKernelHarness
 {
   public:
@@ -358,14 +347,15 @@ class ItdrKernelHarness
                                 "kernel-test");
     }
 
-    static Waveform measureOnce(SimdTarget simd, StrobeSoA *arena)
+    static Waveform measureOnce(SimdTarget simd,
+                                const FaultPlan &faults = FaultPlan{})
     {
         ItdrConfig cfg;
         cfg.strobeModel = StrobeModel::Binomial;
         cfg.simd = simd;
         ITdr itdr(cfg, Rng(11));
-        if (arena != nullptr)
-            itdr.attachKernelArena(arena);
+        FaultInjector injector(faults, Rng(13));
+        itdr.attachFaultInjector(&injector);
         TransmissionLine line = makeLine();
         return itdr.measure(line).iip;
     }
@@ -374,31 +364,23 @@ class ItdrKernelHarness
 TEST_F(DispatchEnv, MeasureDeterministicPerTarget)
 {
     unsetenv("DIVOT_SIMD");
-    for (const StrobeKernels *k : runnableKernelSets()) {
-        const Waveform a =
-            ItdrKernelHarness::measureOnce(k->target, nullptr);
-        const Waveform b =
-            ItdrKernelHarness::measureOnce(k->target, nullptr);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i)
-            EXPECT_EQ(a[i], b[i]) << k->name << " bin " << i;
-    }
-}
-
-TEST_F(DispatchEnv, SharedArenaMatchesOwnedScratch)
-{
-    unsetenv("DIVOT_SIMD");
-    for (const StrobeKernels *k : runnableKernelSets()) {
-        const Waveform own =
-            ItdrKernelHarness::measureOnce(k->target, nullptr);
-        StrobeSoA arena;
-        const Waveform shared =
-            ItdrKernelHarness::measureOnce(k->target, &arena);
-        ASSERT_EQ(own.size(), shared.size());
-        for (std::size_t i = 0; i < own.size(); ++i)
-            EXPECT_EQ(own[i], shared[i]) << k->name << " bin " << i;
-        // The arena was actually used (sized by the sweep).
-        EXPECT_EQ(arena.vSig.size(), own.size()) << k->name;
+    // Clean, and under a frame whose PLL dropouts and counter flips
+    // both draw per-bin decisions from one stream.
+    const FaultPlan dropout_flip =
+        FaultPlan{}.pllDropout(0, 0, 0.15).counterBitFlip(0, 0, 0.35);
+    for (const FaultPlan &faults : {FaultPlan{}, dropout_flip}) {
+        for (const StrobeKernels *k : runnableKernelSets()) {
+            const Waveform a =
+                ItdrKernelHarness::measureOnce(k->target, faults);
+            const Waveform b =
+                ItdrKernelHarness::measureOnce(k->target, faults);
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_EQ(a[i], b[i]) << k->name << " faults "
+                                      << faults.specs().size() << " bin "
+                                      << i;
+            }
+        }
     }
 }
 
@@ -406,10 +388,10 @@ TEST_F(DispatchEnv, EnvForcedScalarMatchesConfigScalar)
 {
     unsetenv("DIVOT_SIMD");
     const Waveform cfg_scalar =
-        ItdrKernelHarness::measureOnce(SimdTarget::Scalar, nullptr);
+        ItdrKernelHarness::measureOnce(SimdTarget::Scalar);
     setenv("DIVOT_SIMD", "scalar", 1);
     const Waveform env_scalar =
-        ItdrKernelHarness::measureOnce(SimdTarget::Auto, nullptr);
+        ItdrKernelHarness::measureOnce(SimdTarget::Auto);
     ASSERT_EQ(cfg_scalar.size(), env_scalar.size());
     for (std::size_t i = 0; i < cfg_scalar.size(); ++i)
         EXPECT_EQ(cfg_scalar[i], env_scalar[i]) << "bin " << i;

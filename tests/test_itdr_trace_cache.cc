@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "itdr/itdr.hh"
 #include "itdr/trace_cache.hh"
 #include "txline/environment.hh"
@@ -59,6 +62,28 @@ TEST(TraceCache, LruEvictsTheColdestEntry)
     EXPECT_NE(cache.find(a), nullptr);
     EXPECT_EQ(cache.find(b), nullptr);
     EXPECT_NE(cache.find(c), nullptr);
+}
+
+// The index holds iterators into the entry list: copies are refused,
+// and a moved-to cache finds, promotes and evicts through the index
+// it carried along.
+static_assert(!std::is_copy_constructible_v<TraceCache>);
+static_assert(!std::is_copy_assignable_v<TraceCache>);
+
+TEST(TraceCache, MovedCacheKeepsItsIndex)
+{
+    TraceCache source(2);
+    const TraceKey a = TraceKeyBuilder().add(uint64_t{1}).key();
+    const TraceKey b = TraceKeyBuilder().add(uint64_t{2}).key();
+    const TraceKey c = TraceKeyBuilder().add(uint64_t{3}).key();
+    source.insert(a, wave(1.0));
+    source.insert(b, wave(2.0));
+    TraceCache cache(std::move(source));
+    ASSERT_NE(cache.find(a), nullptr);
+    cache.insert(c, wave(3.0));  // evicts b
+    EXPECT_EQ(cache.find(b), nullptr);
+    ASSERT_NE(cache.find(c), nullptr);
+    EXPECT_DOUBLE_EQ((*cache.find(a))[0], 1.0);
 }
 
 TEST(TraceCache, ZeroCapacityDisables)
