@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analog/comparator.hh"
 #include "util/math.hh"
@@ -162,6 +163,47 @@ TEST(Comparator, ParameterValidation)
     ComparatorParams bad2;
     bad2.metastableBand = -1.0;
     EXPECT_DEATH(Comparator(bad2, Rng(7)), "metastable");
+}
+
+TEST(Comparator, StrobeBatchMatchesScalarStrobes)
+{
+    // strobeBatch promises the draws of n scalar strobe() calls on
+    // each of its paths — block noise, noiseless, and the metastable
+    // fallback: equal hit counts per bin, and twins that strobe the
+    // same afterwards. Odd batch lengths leave a cached normal behind.
+    ComparatorParams noisy;
+    noisy.noiseSigma = 1e-3;
+    noisy.inputOffset = 0.2e-3;
+    ComparatorParams silent;
+    silent.noiseSigma = 0.0;
+    ComparatorParams metastable;
+    metastable.noiseSigma = 1e-3;
+    metastable.metastableBand = 0.4e-3;
+    std::vector<double> refs(171);
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        refs[i] = (static_cast<double>(i % 17) - 8.0) * 0.25e-3;
+    for (const ComparatorParams &params : {noisy, silent, metastable}) {
+        Comparator batch(params, Rng(31)), scalar(params, Rng(31));
+        unsigned bin = 0;
+        for (const std::size_t n : {170u, 1u, 0u, 17u, 171u, 170u, 3u}) {
+            const double v_sig = (static_cast<double>(bin % 5) - 2.0) * 0.6e-3;
+            unsigned want = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                want += scalar.strobe(v_sig, refs[i]) ? 1u : 0u;
+            EXPECT_EQ(batch.strobeBatch(v_sig, refs.data(), n), want)
+                << "sigma " << params.noiseSigma << " band "
+                << params.metastableBand << " bin " << bin;
+            ++bin;
+        }
+        // At dv = 0 each strobe reads a fresh draw: the sign of a
+        // normal, or a coin flip inside the metastable band.
+        for (int k = 0; k < 64; ++k) {
+            EXPECT_EQ(batch.strobe(0.0, params.inputOffset),
+                      scalar.strobe(0.0, params.inputOffset))
+                << "sigma " << params.noiseSigma << " band "
+                << params.metastableBand << " draw " << k;
+        }
+    }
 }
 
 } // namespace

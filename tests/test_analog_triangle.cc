@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <set>
 
 #include "analog/triangle.hh"
+#include "util/rng.hh"
 
 namespace divot {
 namespace {
@@ -68,6 +73,61 @@ TEST(TriangleWave, SampledPeriodCoversOnePeriod)
     const Waveform w = tri.sampledPeriod(1e-8);
     EXPECT_EQ(w.size(), 100u);
     EXPECT_NEAR(w[0], -1.0, 1e-9);
+}
+
+/** One FNV-1a 64 step over the bytes of `value`. */
+uint64_t
+fnv1a(uint64_t h, double value)
+{
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &value, sizeof(double));
+    for (unsigned char b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Pinned bytes of valueAt(): FNV-1a over the reference voltage at
+ * the phases a rewrite of the phase or shape arithmetic could treat
+ * differently — signed zeros, exact integer and half-integer phases
+ * either side of zero, phases past 2^52 (where every double is an
+ * integer), and a seeded sweep of t * f from 1e-3 up to ~1e7 on both
+ * signs — for the ideal triangle and three RC shapings. A second
+ * wave at the iTDR's default PDM frequency sees the same phases
+ * through the division t = x / f_m.
+ */
+TEST(TrianglePins, ValueBitsAcrossShapingAndPhase)
+{
+    const double special[] = {
+        0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75,
+        1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 17.0, -17.0,
+        1e7, -1e7, 1e7 + 0.5, -1e7 - 0.5, 9999999.75, -9999999.75,
+        std::nextafter(1.0, 0.0), std::nextafter(-1.0, 0.0),
+        std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0),
+        0x1p52, -0x1p52, 0x1p52 + 1.0, -0x1p52 - 1.0, 0x1p60, -0x1p60,
+        0x1p-1074, -0x1p-1074};
+    const double scales[] = {1e-3, 1e-1, 1.0, 1e1, 1e3, 1e5, 1e6, 1e7};
+    const double fm = 156.25e6 * 18.0 / 17.0;
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const double rc : {0.0, 0.15, 0.5, 2.0}) {
+        const TriangleWave unit(1.0, 1.0, 0.0, rc);
+        const TriangleWave pdm(8e-3, fm, 0.25e-3, rc);
+        for (const double x : special) {
+            h = fnv1a(h, unit.valueAt(x));
+            h = fnv1a(h, pdm.valueAt(x / fm));
+        }
+        Rng pick(41);
+        for (int k = 0; k < 4000; ++k) {
+            const double x = pick.uniform(-1.0, 1.0) * scales[k % 8];
+            h = fnv1a(h, unit.valueAt(x));
+            h = fnv1a(h, pdm.valueAt(x / fm));
+        }
+    }
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, h);
+    EXPECT_EQ(h, 0xb1ea8d9c515152a0ULL) << hex;
 }
 
 TEST(TriangleWave, Validation)

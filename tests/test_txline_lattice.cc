@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 
 #include "txline/born.hh"
 #include "txline/lattice.hh"
@@ -195,6 +199,65 @@ TEST(Lattice, TimeStepIsSegmentTransit)
     const auto line = uniformLine(10);
     LatticeSimulator sim(line);
     EXPECT_DOUBLE_EQ(sim.timeStep(), kSeg / kV);
+}
+
+/** One FNV-1a 64 step over the bytes of `value`. */
+template <typename T>
+uint64_t
+fnv1a(uint64_t h, const T &value)
+{
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Pinned bytes of BornTdrModel::probe(): FNV-1a over every sample of
+ * 128 fabricated lines of 2-32 cm, each probed with a rising or a
+ * falling edge, at the segment transit time or an explicit dt from a
+ * quarter of it to past the edge's duration, and over the default
+ * capture span or one clipped to 0.2-1.2 round trips (which cuts
+ * echo transitions at the record's end and drops later echoes
+ * whole). Any change to the order or rounding of the superposition
+ * moves the digest.
+ */
+TEST(BornPins, ProbeSamplesAcrossLinesEdgesAndSpans)
+{
+    ProcessParams params;
+    ManufacturingProcess fab(params, Rng(19));
+    Rng pick(23);
+    uint64_t h = 0xcbf29ce484222325ULL;
+    std::size_t samples = 0;
+    for (unsigned k = 0; k < 128; ++k) {
+        const double length = pick.uniform(0.02, 0.32);
+        TransmissionLine line(fab.drawImpedanceProfile(length, kSeg), kSeg,
+                              params.velocity, 50.0,
+                              pick.uniform(30.0, 80.0),
+                              params.lossNeperPerMeter, "pin");
+        const EdgeShape edge(0.8, pick.uniform(10e-12, 40e-12),
+                             (k & 1) != 0 ? EdgeKind::Falling
+                                          : EdgeKind::Rising);
+        const double seg_dt = kSeg / params.velocity;
+        const double dt =
+            (k & 2) != 0 ? pick.uniform(0.25, 24.0) * seg_dt : 0.0;
+        const double span = (k & 4) != 0
+            ? pick.uniform(0.2, 1.2) * line.roundTripDelay()
+            : 0.0;
+        const Waveform w = BornTdrModel(line).probe(edge, dt, span);
+        h = fnv1a(h, w.size());
+        h = fnv1a(h, w.dt());
+        for (std::size_t i = 0; i < w.size(); ++i)
+            h = fnv1a(h, w[i]);
+        samples += w.size();
+    }
+    EXPECT_EQ(samples, 54590u);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, h);
+    EXPECT_EQ(h, 0x3c41303d246a388aULL) << hex;
 }
 
 } // namespace

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -246,6 +249,42 @@ TEST(Rng, GaussianVectorFills)
     s.addAll(v);
     EXPECT_NEAR(s.mean(), 0.0, 0.15);
     EXPECT_NEAR(s.stddev(), 1.0, 0.15);
+}
+
+/** Bit pattern of a double, so a comparison tells -0.0 from 0.0. */
+uint64_t
+bitsOf(double x)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+TEST(Rng, GaussianVectorMatchesScalarDraws)
+{
+    // A block of n normals is the n scalar gaussian() calls it
+    // replaces, bit for bit, at every length (odd n ends on a cached
+    // normal), whether or not an earlier draw left one cached; the
+    // draws after the block agree too.
+    for (const bool cached : {false, true}) {
+        for (std::size_t n = 0; n <= 300; ++n) {
+            Rng block(900 + n), scalar(900 + n);
+            if (cached) {
+                ASSERT_EQ(bitsOf(block.gaussian()),
+                          bitsOf(scalar.gaussian()));
+            }
+            std::vector<double> got(n);
+            block.gaussianVector(got.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(bitsOf(got[i]), bitsOf(scalar.gaussian()))
+                    << "n " << n << " cached " << cached << " i " << i;
+            }
+            for (int k = 0; k < 5; ++k) {
+                ASSERT_EQ(bitsOf(block.gaussian()), bitsOf(scalar.gaussian()))
+                    << "n " << n << " cached " << cached << " next " << k;
+            }
+        }
+    }
 }
 
 } // namespace
