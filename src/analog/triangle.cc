@@ -19,6 +19,12 @@ TriangleWave::TriangleWave(double amplitude, double frequency,
                     frequency);
     if (rc_shaping < 0.0 || rc_shaping > 2.0)
         divot_fatal("rc_shaping %g outside [0,2]", rc_shaping);
+    if (rc_shaping != 0.0) {
+        // Steady-state bounds v_lo, v_hi satisfy symmetry around 0.
+        rcK_ = 1.0 / rc_shaping;
+        const double decay = std::exp(-rcK_);
+        rcCrest_ = (1.0 - decay) / (1.0 + decay);
+    }
 }
 
 double
@@ -33,7 +39,13 @@ TriangleWave::idealShape(double u) const
 double
 TriangleWave::valueAt(double t) const
 {
-    double u = std::fmod(t * frequency_, 1.0);
+    // Phase in [0, 1). x - trunc(x) is exact for every finite x (a
+    // double's fractional part is itself a double), so it equals
+    // fmod(x, 1.0) at a fraction of glibc fmod's cost, except at
+    // negative integers, where it gives +0 and fmod -0: both zeros
+    // map to the trough below.
+    const double phase = t * frequency_;
+    double u = phase - std::trunc(phase);
     if (u < 0.0)
         u += 1.0;
     double shape;
@@ -42,21 +54,15 @@ TriangleWave::valueAt(double t) const
     } else {
         // RC charge/discharge toward the rails, normalized so the
         // quasi-triangle still spans [-1, 1] in steady state.
-        const double k = 1.0 / rcShaping_;  // half-periods per tau
-        const double span = 1.0 - std::exp(-k);
-        const double lo = -1.0;
-        const double peak = lo + 2.0 * span / (1.0 + std::exp(-k));
-        (void)peak;
-        // Steady-state bounds v_lo, v_hi satisfy symmetry around 0.
-        const double v_hi = (1.0 - std::exp(-k)) / (1.0 + std::exp(-k));
+        const double v_hi = rcCrest_;
         const double v_lo = -v_hi;
         double v;
         if (u < 0.5) {
             const double x = u / 0.5;  // 0..1 over charge phase
-            v = 1.0 + (v_lo - 1.0) * std::exp(-k * x);
+            v = 1.0 + (v_lo - 1.0) * std::exp(-rcK_ * x);
         } else {
             const double x = (u - 0.5) / 0.5;
-            v = -1.0 + (v_hi + 1.0) * std::exp(-k * x);
+            v = -1.0 + (v_hi + 1.0) * std::exp(-rcK_ * x);
         }
         // Renormalize to span [-1, 1].
         shape = v / v_hi;

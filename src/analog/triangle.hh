@@ -59,6 +59,12 @@ class TriangleWave
     double frequency_;
     double center_;
     double rcShaping_;
+    // RC-shaping constants, fixed at construction (unused for the
+    // ideal triangle): half-periods per time constant, and the
+    // steady-state crest the shape is normalized by (the trough is
+    // its negative).
+    double rcK_ = 0.0;
+    double rcCrest_ = 0.0;
 
     /** Ideal triangle in [-1, 1] at phase u in [0, 1). */
     double idealShape(double u) const;

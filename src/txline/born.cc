@@ -1,5 +1,6 @@
 #include "txline/born.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -32,45 +33,62 @@ BornTdrModel::probe(const EdgeShape &edge, double dt,
     const double a2 =
         line_.segmentAttenuation() * line_.segmentAttenuation();
 
-    // Collect (arrival time, amplitude) of each single-bounce echo.
-    struct Echo { double t; double amp; };
+    // Collect each single-bounce echo: arrival time, amplitude, and
+    // the sample window [lo, hi] its transition spans, clipped to the
+    // record (lo > hi for an echo that arrives past its end).
+    const double dur = edge.duration();
+    struct Echo { double t; double amp; long lo; long hi; };
     std::vector<Echo> echoes;
     echoes.reserve(n);
+    const auto addEcho = [&](double t, double amp) {
+        const double t_start = t + edge_center - dur / 2.0;
+        const double t_stop = t + edge_center + dur / 2.0;
+        const long lo = static_cast<long>(std::floor(t_start / dt));
+        const long hi = static_cast<long>(std::ceil(t_stop / dt));
+        echoes.push_back({t, amp, std::max(0L, lo),
+                          std::min(hi, static_cast<long>(steps) - 1)});
+    };
     double fwd = launch_gain;
     for (std::size_t i = 0; i + 1 < n; ++i) {
         fwd *= a2;
         const double r = line_.junctionReflection(i);
-        echoes.push_back({static_cast<double>(2 * (i + 1)) * seg_dt,
-                          fwd * r});
+        addEcho(static_cast<double>(2 * (i + 1)) * seg_dt, fwd * r);
         fwd *= (1.0 - r * r);
     }
     fwd *= a2;
-    echoes.push_back({static_cast<double>(2 * n) * seg_dt,
-                      fwd * line_.loadReflection()});
+    addEcho(static_cast<double>(2 * n) * seg_dt,
+            fwd * line_.loadReflection());
 
+    // Superpose each echo as a shifted copy of the edge *deviation*:
+    // zero before its window, the raised cosine inside it, a constant
+    // plateau after it. Sample i sums, in echo order, the plateaus of
+    // the echoes whose window closed before i, then the transitions
+    // of the echoes whose window holds i — the adds a per-echo sweep
+    // of the record makes at sample i, in the same order, so every
+    // sample rounds identically. Windows rise with echo index (as
+    // arrival times do), so the closed echoes are a prefix whose
+    // plateau sum carries from one sample to the next: the render
+    // costs O(samples x window), not O(samples x echoes).
     Waveform out = Waveform::zeros(dt, steps);
-    // Superpose each echo as a shifted copy of the edge *deviation*
-    // (zero before arrival, a constant plateau after the transition).
-    // Evaluate the raised-cosine only inside the transition window and
-    // add the plateau as a constant beyond it.
-    const double dur = edge.duration();
     const double plateau =
         edge.kind() == EdgeKind::Falling ? -edge.amplitude()
                                          : edge.amplitude();
-    for (const auto &echo : echoes) {
-        const double t_start = echo.t + edge_center - dur / 2.0;
-        const double t_stop = echo.t + edge_center + dur / 2.0;
-        long i_lo = static_cast<long>(std::floor(t_start / dt));
-        long i_hi = static_cast<long>(std::ceil(t_stop / dt));
-        i_lo = std::max(0L, i_lo);
-        i_hi = std::min(i_hi, static_cast<long>(steps) - 1);
-        for (long i = i_lo; i <= i_hi; ++i) {
-            const double t = static_cast<double>(i) * dt;
-            out[static_cast<std::size_t>(i)] +=
-                echo.amp * edge.deviationAt(t - echo.t - edge_center);
+    double closed = 0.0;      // plateau sum of echoes [0, first)
+    std::size_t first = 0;    // first echo whose window is not closed
+    for (std::size_t i = 0; i < steps; ++i) {
+        const long at = static_cast<long>(i);
+        while (first < echoes.size() && echoes[first].hi < at) {
+            closed += echoes[first].amp * plateau;
+            ++first;
         }
-        for (long i = i_hi + 1; i < static_cast<long>(steps); ++i)
-            out[static_cast<std::size_t>(i)] += echo.amp * plateau;
+        const double t = static_cast<double>(i) * dt;
+        double v = closed;
+        for (std::size_t e = first;
+             e < echoes.size() && echoes[e].lo <= at; ++e) {
+            v += echoes[e].amp *
+                edge.deviationAt(t - echoes[e].t - edge_center);
+        }
+        out[i] = v;
     }
     return out;
 }

@@ -134,7 +134,8 @@ class Rng
     /**
      * Fill a raw buffer with standard normal draws — the
      * allocation-free form strobe batching uses. Consumes exactly the
-     * same draws as n scalar gaussian() calls.
+     * same draws as n scalar gaussian() calls, writes the same bits
+     * and leaves the same normal cached.
      */
     void gaussianVector(double *out, std::size_t n);
 
@@ -142,6 +143,20 @@ class Rng
     static uint64_t rotl(uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
+    }
+
+    /** Draw a pair (u, v) uniform in the unit disc minus its center:
+     *  the polar method's rejection loop (Marsaglia: no trig,
+     *  well-behaved tails). Inline, so a block of them runs without
+     *  a call per pair. */
+    void polarPair(double &u, double &v)
+    {
+        double s;
+        do {
+            u = 2.0 * uniform() - 1.0;
+            v = 2.0 * uniform() - 1.0;
+            s = u * u + v * v;
+        } while (s >= 1.0 || s == 0.0);
     }
 
     uint64_t s_[4];
