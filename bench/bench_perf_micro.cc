@@ -2,7 +2,8 @@
  * @file
  * PERF — google-benchmark microbenchmarks of the simulator's hot
  * paths: lattice and Born reflection rendering, a full iTDR
- * measurement, fingerprint similarity, the APC inverse table, ROC
+ * measurement, the PDM reference and the block Gaussian draw behind
+ * sampled strobes, fingerprint similarity, the APC inverse table, ROC
  * analysis, the enrollment store's point-lookup read path, and the
  * thread pool's parallelFor fan-out. These bound how fast the
  * paper-scale experiments can run and quantify the Born-vs-lattice
@@ -24,6 +25,7 @@
 #include "itdr/apc.hh"
 #include "itdr/itdr.hh"
 #include "itdr/kernels/kernels.hh"
+#include "itdr/pdm.hh"
 #include "store/codec.hh"
 #include "store/enrollment_db.hh"
 #include "store/io.hh"
@@ -358,6 +360,60 @@ BM_ComparatorStrobeScalar(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ComparatorStrobeScalar)->Arg(170)->Arg(1700);
+
+// One bin's PDM reference period per iteration, as the sampled batch
+// engine evaluates it: `levels` triangle values at consecutive clock
+// cycles of the bin, bins stepping by trials cycles and wrapping each
+// measurement. The argument is how many 340-bin measurements the
+// instrument made before: absolute times grow with it, to t * f_m ~
+// 7e6 after the ~120 measurements of one study lane, so a phase
+// reduction whose cost depends on the quotient (as glibc fmod's
+// does) shows here.
+void
+BM_PdmReferenceAt(benchmark::State &state)
+{
+    const ItdrConfig cfg;
+    const PdmSchedule pdm(cfg.pdm, cfg.pll.clockFrequency);
+    const unsigned bins = 340;
+    const unsigned levels = pdm.levelCount();
+    const uint64_t trials = cfg.trialsPerPhase;
+    const double t_clk = 1.0 / cfg.pll.clockFrequency;
+    const uint64_t start =
+        static_cast<uint64_t>(state.range(0)) * bins * trials;
+    unsigned m = 0;
+    for (auto _ : state) {
+        const double t0 = static_cast<double>(m) * cfg.pll.phaseStep;
+        const uint64_t cycle0 = start + m * trials;
+        for (unsigned j = 0; j < levels; ++j) {
+            benchmark::DoNotOptimize(pdm.referenceAt(
+                static_cast<double>(cycle0 + j) * t_clk + t0));
+        }
+        m = m + 1 == bins ? 0 : m + 1;
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * levels));
+}
+BENCHMARK(BM_PdmReferenceAt)
+    ->ArgNames({"measurement"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(120);
+
+// One bin's noise block: n standard normals in one call, as
+// Comparator::strobeBatch draws them.
+void
+BM_RngGaussianVector(benchmark::State &state)
+{
+    Rng rng(29);
+    std::vector<double> out(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        rng.gaussianVector(out.data(), out.size());
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * out.size()));
+}
+BENCHMARK(BM_RngGaussianVector)->Arg(170);
 
 void
 BM_ComparatorStrobeBatch(benchmark::State &state)

@@ -57,6 +57,22 @@ originalRecords()
     return records;
 }
 
+/**
+ * A temp path of the running test's own: `stem` suffixed with the
+ * test's suite and name. gtest_discover_tests makes every test its
+ * own ctest entry and `ctest -j` runs them as concurrent processes,
+ * so a path two tests share lets one's setup delete what the other
+ * is reading.
+ */
+std::string
+testPath(const char *stem)
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return std::string(::testing::TempDir()) + stem + "_" +
+        info->test_suite_name() + "_" + info->name();
+}
+
 bool
 matchesOriginal(const std::map<std::string, EnrollmentRecord> &orig,
                 const std::string &id, const EnrollmentRecord &got)
@@ -98,8 +114,7 @@ buildV2Image(const std::map<std::string, EnrollmentRecord> &records)
     EnrollmentStore store;
     for (const auto &[id, rec] : records)
         store.enroll(id, rec.fp);
-    const std::string path =
-        std::string(::testing::TempDir()) + "mig_v2.bin";
+    const std::string path = testPath("mig_v2") + ".bin";
     EXPECT_TRUE(store.saveToFile(path));
     std::vector<char> image;
     EXPECT_TRUE(readFile(path, image));
@@ -385,7 +400,7 @@ class JournalTailFuzz : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::string(::testing::TempDir()) + "mig_journal";
+        dir_ = testPath("mig_journal");
         ensureDir(dir_);
         removeFile(dir_ + "/journal.wal");
         for (unsigned s = 0; s < 4; ++s) {
