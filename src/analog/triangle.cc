@@ -12,12 +12,18 @@ TriangleWave::TriangleWave(double amplitude, double frequency,
     : amplitude_(amplitude), frequency_(frequency), center_(center),
       rcShaping_(rc_shaping)
 {
-    if (amplitude < 0.0)
-        divot_fatal("triangle amplitude must be >= 0 (got %g)", amplitude);
-    if (frequency <= 0.0)
-        divot_fatal("triangle frequency must be positive (got %g)",
-                    frequency);
-    if (rc_shaping < 0.0 || rc_shaping > 2.0)
+    // NaN fails every comparison, so a bare range check lets it
+    // through: each field is checked for finiteness, or (rc_shaping)
+    // written as the negation of its valid range.
+    if (!std::isfinite(amplitude) || amplitude < 0.0)
+        divot_fatal("triangle amplitude must be finite and >= 0 (got %g)",
+                    amplitude);
+    if (!std::isfinite(frequency) || frequency <= 0.0)
+        divot_fatal("triangle frequency must be finite and positive "
+                    "(got %g)", frequency);
+    if (!std::isfinite(center))
+        divot_fatal("triangle center must be finite (got %g)", center);
+    if (!(rc_shaping >= 0.0 && rc_shaping <= 2.0))
         divot_fatal("rc_shaping %g outside [0,2]", rc_shaping);
     if (rc_shaping != 0.0) {
         // Steady-state bounds v_lo, v_hi satisfy symmetry around 0.

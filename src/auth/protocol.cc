@@ -24,16 +24,6 @@ TwoWayAuthProtocol::calibrate(const TransmissionLine &bus,
     trusted_ = true;
 }
 
-void
-TwoWayAuthProtocol::attachFaultInjector(BusRole side,
-                                        FaultInjector *injector)
-{
-    if (side == BusRole::Cpu)
-        cpu_.attachFaultInjector(injector);
-    else
-        memory_.attachFaultInjector(injector);
-}
-
 TwoWayOutcome
 TwoWayAuthProtocol::monitorRound(const TransmissionLine &current_bus,
                                  NoiseSource *emi)

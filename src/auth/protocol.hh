@@ -85,12 +85,6 @@ class TwoWayAuthProtocol
     /** @return true while the bus is mutually trusted. */
     bool busTrusted() const { return trusted_; }
 
-    /**
-     * Attach a fault injector to one side's instrument (campaign
-     * hook; nullptr detaches). Not owned; must outlive the protocol.
-     */
-    void attachFaultInjector(BusRole side, FaultInjector *injector);
-
   private:
     Authenticator cpu_;
     Authenticator memory_;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "fleet/channel_scheduler.hh"
 #include "txline/manufacturing.hh"
 #include "txline/tamper.hh"
 #include "util/logging.hh"
@@ -30,18 +29,6 @@ FaultCampaign::FaultCampaign(FaultCampaignConfig config, Rng rng)
     if (config_.attackRound >= config_.rounds)
         divot_fatal("attackRound %u outside the %u-round run",
                     config_.attackRound, config_.rounds);
-    if (config_.wires == 0)
-        divot_fatal("campaign needs at least one wire per cell");
-    if (config_.faultWire >= config_.wires ||
-        config_.attackWire >= config_.wires)
-        divot_fatal("fault wire %zu / attack wire %zu outside the "
-                    "%zu-wire bus",
-                    config_.faultWire, config_.attackWire,
-                    config_.wires);
-    if (config_.fleetInstruments > config_.wires)
-        divot_fatal("instrument pool %zu larger than the %zu-wire "
-                    "fleet",
-                    config_.fleetInstruments, config_.wires);
 }
 
 std::vector<FaultScenario>
@@ -79,137 +66,9 @@ FaultCampaign::standardFaults(unsigned attackRound)
 }
 
 FaultCell
-FaultCampaign::runFleetCell(const FaultScenario &fault,
-                            CampaignAttack attack,
-                            std::size_t index) const
-{
-    // Same cell-isolation contract as runCell: every draw forks
-    // stably from the cell lane (the scheduler in turn forks each
-    // channel stably from its seed), so fleet cells reproduce
-    // bit-for-bit at any campaign thread count. The scheduler runs
-    // single-threaded inside the cell — the campaign already
-    // parallelizes across cells.
-    const Rng lane = rng_.forkStable(0xCE110000ull + index);
-
-    FleetConfig fleet_config;
-    fleet_config.instruments = config_.fleetInstruments == 0
-        ? config_.wires
-        : config_.fleetInstruments;
-    fleet_config.policy = SchedulerPolicy::RoundRobin;
-    fleet_config.threads = 1;
-    fleet_config.fusion = config_.fusion;
-    fleet_config.similarityThreshold = config_.auth.similarityThreshold;
-    // The cell-local fleet telemetry would die with the cell; campaign
-    // observability goes through the shared sink instead (below).
-    fleet_config.telemetry.enabled = false;
-    ChannelScheduler fleet(fleet_config, lane.forkStable(3));
-
-    BusChannelConfig channel_config;
-    channel_config.lineLength = config_.lineLength;
-    channel_config.segmentLength = config_.segmentLength;
-    channel_config.itdr = config_.itdr;
-    channel_config.auth = config_.auth;
-    channel_config.enrollReps = config_.enrollReps;
-    for (std::size_t w = 0; w < config_.wires; ++w) {
-        channel_config.name = fault.name + "x" +
-            campaignAttackName(attack) + "w" + std::to_string(w);
-        const std::size_t idx = fleet.addChannel(channel_config);
-        // Re-point the channel at the shared campaign sink: the
-        // (fault, attack, wire) name makes its metric prefix unique
-        // across the whole matrix.
-        fleet.channel(idx).attachTelemetry(config_.telemetry);
-    }
-    fleet.calibrateAll();
-
-    FaultInjector injector(fault.plan, lane.forkStable(4));
-    fleet.channel(config_.faultWire).attachFaultInjector(&injector);
-
-    FaultCell cell;
-    cell.fault = fault.name;
-    cell.attack = campaignAttackName(attack);
-    cell.rounds = config_.rounds;
-    cell.attackStaged = attack != CampaignAttack::None;
-    cell.wires = config_.wires;
-
-    bool staged = false;
-    for (unsigned r = 0; r < config_.rounds; ++r) {
-        const bool attackOn =
-            cell.attackStaged && r >= config_.attackRound;
-        if (attackOn && !staged) {
-            BusChannel &target = fleet.channel(config_.attackWire);
-            switch (attack) {
-              case CampaignAttack::None:
-                break;
-              case CampaignAttack::MagneticProbe:
-                target.stageAttack(MagneticProbe(0.5));
-                break;
-              case CampaignAttack::WireTap:
-                target.stageAttack(WireTap(0.4, 50.0));
-                break;
-              case CampaignAttack::ColdBoot: {
-                // Module swap: a foreign line on the attacked wire.
-                ProcessParams params;
-                ManufacturingProcess foreign_fab(params,
-                                                 lane.forkStable(2));
-                auto zf = foreign_fab.drawImpedanceProfile(
-                    config_.lineLength, config_.segmentLength);
-                target.replaceLine(TransmissionLine(
-                    std::move(zf), config_.segmentLength,
-                    params.velocity, 50.0, 50.25,
-                    params.lossNeperPerMeter,
-                    fault.name + "-foreign"));
-                break;
-              }
-            }
-            staged = true;
-        }
-
-        const FleetRound round = fleet.tick();
-        for (const ChannelProbe &probe : round.probes) {
-            if (!probe.verdict.instrumentHealthy)
-                ++cell.unhealthyRounds;
-            cell.retries += probe.verdict.retries;
-            if (probe.verdict.alarmSuppressed)
-                ++cell.suppressedAlarms;
-        }
-        const FleetVerdict &fused = round.fused;
-        if (fused.busTrusted)
-            ++cell.authenticatedRounds;
-        if (fused.degradedWires > 0)
-            ++cell.degradedRounds;
-        if (fused.quarantinedWires > 0)
-            ++cell.quarantineRounds;
-
-        // The fused verdict is the bus-level judgment: a module swap
-        // shows up as a failed fused authentication, a tamper as the
-        // M-of-N wire vote tripping.
-        const bool flagged = fused.tamperAlarm ||
-            (attack == CampaignAttack::ColdBoot &&
-             fused.contributingWires > 0 && !fused.busAuthenticated);
-        if (attackOn) {
-            if (flagged && !cell.detected) {
-                cell.detected = true;
-                cell.detectionRound = r + 1;
-                cell.detectionLatency = r - config_.attackRound + 1;
-            }
-        } else if (fused.tamperAlarm) {
-            ++cell.falseAlarms;
-        }
-    }
-
-    cell.availability =
-        static_cast<double>(cell.authenticatedRounds) / cell.rounds;
-    cell.finalState = fleet.channel(config_.faultWire).state();
-    return cell;
-}
-
-FaultCell
 FaultCampaign::runCell(const FaultScenario &fault, CampaignAttack attack,
                        std::size_t index) const
 {
-    if (config_.wires > 1)
-        return runFleetCell(fault, attack, index);
-
     // Everything in the cell — line fabrication, instrument noise,
     // fault sampling — forks stably from the master stream by cell
     // index, never from draw order, so the matrix reproduces

@@ -20,7 +20,6 @@
 
 #include "auth/authenticator.hh"
 #include "fault/fault.hh"
-#include "fingerprint/fusion.hh"
 #include "util/rng.hh"
 
 namespace divot {
@@ -63,7 +62,6 @@ struct FaultCell
     unsigned authenticatedRounds = 0; //!< rounds with trust upheld
     double availability = 0.0;    //!< authenticatedRounds / rounds
     AuthState finalState = AuthState::Unenrolled;
-    std::size_t wires = 1;        //!< bus width the cell ran with
 };
 
 /** Campaign configuration. */
@@ -79,22 +77,11 @@ struct FaultCampaignConfig
     double segmentLength = 0.5e-3; //!< spatial discretization
     unsigned threads = 0;         //!< 0 = DIVOT_THREADS / hardware
 
-    /** @name Fleet cells (wires > 1 runs each cell through a
-     *  ChannelScheduler and judges the *fused* bus verdict; wires == 1
-     *  keeps the original single-authenticator path bit-for-bit). */
-    ///@{
-    std::size_t wires = 1;        //!< bus width per cell
-    std::size_t faultWire = 0;    //!< channel carrying the fault plan
-    std::size_t attackWire = 0;   //!< channel carrying the attack
-    std::size_t fleetInstruments = 0; //!< iTDR pool size (0 = wires)
-    FusionConfig fusion;          //!< similarity fusion rule
-    ///@}
-
     /**
      * Optional shared telemetry sink: cells attach their
      * authenticators/instruments under cell-unique channel names and
      * the campaign accounts cells run and faults armed. Cell names
-     * are unique per (fault, attack, wire), so concurrent cells write
+     * are unique per (fault, attack), so concurrent cells write
      * disjoint metrics and the export stays deterministic. Not owned;
      * must outlive the campaign run.
      */
@@ -130,9 +117,6 @@ class FaultCampaign
 
     FaultCell runCell(const FaultScenario &fault, CampaignAttack attack,
                       std::size_t index) const;
-    FaultCell runFleetCell(const FaultScenario &fault,
-                           CampaignAttack attack,
-                           std::size_t index) const;
 };
 
 } // namespace divot

@@ -9,26 +9,6 @@
 
 namespace divot {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::ComparatorStuckLow: return "comparator-stuck-low";
-      case FaultKind::ComparatorStuckHigh: return "comparator-stuck-high";
-      case FaultKind::ComparatorOffsetDrift: return "comparator-offset-drift";
-      case FaultKind::PllPhaseDropout: return "pll-phase-dropout";
-      case FaultKind::CounterBitFlip: return "counter-bit-flip";
-      case FaultKind::EmiBurst: return "emi-burst";
-      case FaultKind::BudgetOverrun: return "budget-overrun";
-      case FaultKind::EpromCorruption: return "eprom-corruption";
-      case FaultKind::StorageTornWrite: return "storage-torn-write";
-      case FaultKind::StorageCrash: return "storage-crash";
-      case FaultKind::StorageBitRot: return "storage-bit-rot";
-      case FaultKind::StorageTruncation: return "storage-truncation";
-    }
-    return "unknown";
-}
-
 FaultPlan &
 FaultPlan::add(FaultSpec spec)
 {

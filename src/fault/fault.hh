@@ -64,9 +64,6 @@ enum class StorageCrashPoint
     AfterCommit = 3,  //!< operation durable; process dies right after
 };
 
-/** @return printable fault-kind name. */
-const char *faultKindName(FaultKind kind);
-
 /** One scheduled fault. */
 struct FaultSpec
 {

@@ -68,14 +68,6 @@ BusChannel::roundDuration() const
     return budget.expectedDuration + kInterRoundGap;
 }
 
-uint64_t
-BusChannel::roundCycles() const
-{
-    const MeasurementBudget budget = predictBudget(
-        config_.itdr, pristine_.roundTripDelay());
-    return budget.expectedCycles;
-}
-
 AuthVerdict
 BusChannel::monitorAt(double wall_clock)
 {
@@ -117,14 +109,6 @@ BusChannel::clearAttack()
     } else {
         current_ = pristine_;
     }
-}
-
-void
-BusChannel::replaceLine(TransmissionLine line)
-{
-    current_ = std::move(line);
-    divot_inform("channel '%s': physical line replaced",
-                 config_.name.c_str());
 }
 
 } // namespace divot

@@ -80,13 +80,6 @@ class BusChannel
     /** Remove the staged attack (wire-taps leave their scar). */
     void clearAttack();
 
-    /**
-     * Module swap: replace the physical line wholesale (cold-boot
-     * attack, or a scheduled bus event). The enrollment is untouched,
-     * so the swapped line fails authentication until re-calibrated.
-     */
-    void replaceLine(TransmissionLine line);
-
     /** @return the pristine fabricated line. */
     const TransmissionLine &line() const { return pristine_; }
 
@@ -143,9 +136,6 @@ class BusChannel
     /** @return predicted duration of one monitoring round including
      *  the inter-round gap, seconds. */
     double roundDuration() const;
-
-    /** @return predicted bus cycles of one monitoring round. */
-    uint64_t roundCycles() const;
 
     /** @return this channel's reflection-trace cache (hit/miss/
      *  eviction accounting). */

@@ -826,9 +826,10 @@ ChannelScheduler::onScrubStep(const ReactorEvent &event)
         scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
                       event.vtime, i);
     }
-    if (scrub.unreadable) {
-        // The whole shard image yielded nothing recoverable, so
-        // channels routed to it have lost their stored enrollment;
+    if (scrub.unreadable || scrub.lostUnnamed > 0) {
+        // The shard image yielded nothing recoverable, or lost records
+        // whose ids could not be read, so some channels routed to it
+        // have lost their stored enrollment without being named;
         // fence them now rather than letting each discover the damage
         // at its next probe. A record still pending in the
         // journal-backed overlay is not lost, so only channels the db

@@ -34,22 +34,6 @@ reactorEventName(ReactorEventType type)
 }
 
 const char *
-channelPhaseName(ChannelPhase phase)
-{
-    switch (phase) {
-    case ChannelPhase::Idle:
-        return "idle";
-    case ChannelPhase::Hydrating:
-        return "hydrating";
-    case ChannelPhase::Probing:
-        return "probing";
-    case ChannelPhase::Fenced:
-        return "fenced";
-    }
-    return "?";
-}
-
-const char *
 reactorModeName(ReactorMode mode)
 {
     switch (mode) {
@@ -102,14 +86,6 @@ Reactor::schedule(ReactorEventType type, double vtime,
     std::push_heap(heap_.begin(), heap_.end(), heapAfter);
     highWater_ = std::max(highWater_, heap_.size());
     return seq;
-}
-
-const ReactorEvent &
-Reactor::peek() const
-{
-    if (heap_.empty())
-        divot_fatal("reactor peek() on an empty queue");
-    return heap_.front().event;
 }
 
 ReactorEvent

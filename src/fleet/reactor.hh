@@ -84,9 +84,6 @@ enum class ChannelPhase : uint8_t
     Fenced     //!< PendingReenroll: no enrollment to probe against
 };
 
-/** @return stable phase name ("idle", "hydrating", ...). */
-const char *channelPhaseName(ChannelPhase phase);
-
 /** How the scheduler maps rounds onto the event queue. */
 enum class ReactorMode : uint8_t
 {
@@ -159,10 +156,6 @@ class Reactor
 
     /** @return queued event count. */
     std::size_t depth() const { return heap_.size(); }
-
-    /** @return the next event in (vtime, seq) order (queue must be
-     *  non-empty). */
-    const ReactorEvent &peek() const;
 
     /** Remove and return the next event, recording queue-depth and
      *  per-type consumption metrics. */

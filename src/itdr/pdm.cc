@@ -1,5 +1,7 @@
 #include "itdr/pdm.hh"
 
+#include <cmath>
+
 #include "util/logging.hh"
 #include "util/math.hh"
 
@@ -10,6 +12,11 @@ namespace {
 TriangleWave
 makeWave(const PdmConfig &config, double clock_frequency)
 {
+    // Checked before the triangle is derived from it, so a bad clock
+    // is reported as the clock rather than as the triangle frequency.
+    if (!std::isfinite(clock_frequency) || clock_frequency <= 0.0)
+        divot_fatal("PDM clock frequency must be finite and positive "
+                    "(got %g)", clock_frequency);
     // p * f_m = q * f_s  =>  f_m = (q/p) * f_s. When disabled the wave
     // object is unused; build a placeholder at f_s.
     const double fm = config.enabled
@@ -26,9 +33,9 @@ PdmSchedule::PdmSchedule(PdmConfig config, double clock_frequency)
     : config_(config), clockFrequency_(clock_frequency),
       wave_(makeWave(config, clock_frequency))
 {
-    if (clock_frequency <= 0.0)
-        divot_fatal("PDM clock frequency must be positive (got %g)",
-                    clock_frequency);
+    if (!std::isfinite(config.fixedReference))
+        divot_fatal("PDM fixedReference must be finite (got %g)",
+                    config.fixedReference);
     if (config.enabled && !coprime(config.p, config.q)) {
         divot_fatal("PDM Vernier ratio p=%u q=%u not coprime: the "
                     "reference pattern repeats early and the scheme "

@@ -117,11 +117,4 @@ TraceCache::insert(const TraceKey &key, Waveform trace)
     return &entries_.front().second;
 }
 
-void
-TraceCache::clear()
-{
-    entries_.clear();
-    index_.clear();
-}
-
 } // namespace divot

@@ -98,15 +98,12 @@ class TraceCache
      * Look up a trace; promotes the entry to most-recently-used.
      *
      * @return pointer to the cached waveform, valid until the next
-     *         insert/clear, or nullptr on a miss
+     *         insert, or nullptr on a miss
      */
     const Waveform *find(const TraceKey &key);
 
     /** Insert (or overwrite) a trace, evicting the LRU tail if full. */
     const Waveform *insert(const TraceKey &key, Waveform trace);
-
-    /** Drop every entry (counters are preserved). */
-    void clear();
 
     /** @return retained entry count. */
     std::size_t size() const { return entries_.size(); }
@@ -121,7 +118,7 @@ class TraceCache
     uint64_t misses() const { return misses_; }
 
     /** @return lifetime LRU evictions (full cache pushing out the
-     *  least-recently-used trace; clear() does not count). */
+     *  least-recently-used trace). */
     uint64_t evictions() const { return evictions_; }
 
   private:

@@ -23,32 +23,6 @@ MemoryController::MemoryController(Sdram &sdram, std::size_t queue_cap)
         divot_fatal("controller queue capacity must be >= 1");
 }
 
-void
-MemoryController::attachTelemetry(Telemetry *telemetry,
-                                  const std::string &prefix)
-{
-    if (telemetry == nullptr || !telemetry->enabled()) {
-        tmReads_ = Counter();
-        tmWrites_ = Counter();
-        tmRowHits_ = Counter();
-        tmRowMisses_ = Counter();
-        tmRefreshes_ = Counter();
-        tmStalledCycles_ = Counter();
-        tmGateRejections_ = Counter();
-        tmFailedRequests_ = Counter();
-        return;
-    }
-    Registry &reg = telemetry->registry();
-    tmReads_ = reg.counter(prefix + ".reads");
-    tmWrites_ = reg.counter(prefix + ".writes");
-    tmRowHits_ = reg.counter(prefix + ".row_hits");
-    tmRowMisses_ = reg.counter(prefix + ".row_misses");
-    tmRefreshes_ = reg.counter(prefix + ".refreshes");
-    tmStalledCycles_ = reg.counter(prefix + ".stalled_cycles");
-    tmGateRejections_ = reg.counter(prefix + ".gate_rejections");
-    tmFailedRequests_ = reg.counter(prefix + ".failed_requests");
-}
-
 bool
 MemoryController::enqueue(MemRequest request)
 {
@@ -108,7 +82,6 @@ MemoryController::failQueued(uint64_t cycle)
         done.completionCycle = cycle;
         done.failed = true;
         ++stats_.failedRequests;
-        tmFailedRequests_.add();
         queue_.pop_front();
         if (callback_)
             callback_(done);
@@ -133,20 +106,14 @@ MemoryController::tryIssueFor(QueuedRequest &entry, uint64_t cycle,
             // issues.
             const bool hit = !entry.missedRow;
             inFlight_.push_back({req, done, hit});
-            if (hit) {
+            if (hit)
                 ++stats_.rowHits;
-                tmRowHits_.add();
-            } else {
+            else
                 ++stats_.rowMisses;
-                tmRowMisses_.add();
-            }
-            if (req.isWrite) {
+            if (req.isWrite)
                 ++stats_.writes;
-                tmWrites_.add();
-            } else {
+            else
                 ++stats_.reads;
-                tmReads_.add();
-            }
             queue_.erase(queue_.begin() + static_cast<long>(queue_index));
             return true;
         }
@@ -154,7 +121,6 @@ MemoryController::tryIssueFor(QueuedRequest &entry, uint64_t cycle,
         if (sdram_.accessBlocked()) {
             sdram_.noteGateRejection();
             ++stats_.gateRejections;
-            tmGateRejections_.add();
         }
         return false;
     }
@@ -186,7 +152,6 @@ MemoryController::tick(uint64_t cycle)
         if (sdram_.canIssue(DramCommand::Refresh, dummy, cycle)) {
             sdram_.issue(DramCommand::Refresh, dummy, cycle);
             ++stats_.refreshes;
-            tmRefreshes_.add();
             nextRefresh_ += sdram_.timing().tREFI;
             return;
         }
@@ -209,7 +174,6 @@ MemoryController::tick(uint64_t cycle)
         // CPU-side reaction: stall all data traffic while the bus
         // fingerprint mismatches.
         ++stats_.stalledCycles;
-        tmStalledCycles_.add();
         ++stallStreak_;
         if (stallBound_ != 0 && stallStreak_ >= stallBound_) {
             // The stall bound expired (instrument degraded or

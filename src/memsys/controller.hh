@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "memsys/sdram.hh"
-#include "telemetry/telemetry.hh"
 #include "util/stats.hh"
 
 namespace divot {
@@ -131,16 +130,6 @@ class MemoryController
     /** @return number of queued requests. */
     std::size_t queueDepth() const { return queue_.size(); }
 
-    /**
-     * Attach a telemetry sink: every ControllerStats increment is
-     * mirrored into counters under `prefix` (reads, writes, row
-     * hits/misses, refreshes, stall cycles, gate rejections, failed
-     * completions). Pass nullptr to detach. Not owned; must outlive
-     * the controller.
-     */
-    void attachTelemetry(Telemetry *telemetry,
-                         const std::string &prefix = "memctl");
-
   private:
     struct InFlight
     {
@@ -166,18 +155,6 @@ class MemoryController
     uint64_t nextRefresh_;
     uint64_t stallBound_ = 0;
     uint64_t stallStreak_ = 0;
-
-    /** @name Telemetry plumbing (inert until attachTelemetry). */
-    ///@{
-    Counter tmReads_;
-    Counter tmWrites_;
-    Counter tmRowHits_;
-    Counter tmRowMisses_;
-    Counter tmRefreshes_;
-    Counter tmStalledCycles_;
-    Counter tmGateRejections_;
-    Counter tmFailedRequests_;
-    ///@}
 
     DramAddress decode(uint64_t address) const;
     void completeFinished(uint64_t cycle);

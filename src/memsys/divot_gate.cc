@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "auth/protocol.hh"
-#include "fleet/channel_scheduler.hh"
 #include "itdr/budget.hh"
 #include "util/logging.hh"
 
@@ -12,65 +11,23 @@ namespace divot {
 DivotGate::DivotGate(TwoWayAuthProtocol &protocol,
                      MemoryController &controller, Sdram &sdram,
                      TransmissionLine pristine_bus, double clock_hz)
-    : protocol_(&protocol), controller_(controller), sdram_(sdram),
+    : protocol_(protocol), controller_(controller), sdram_(sdram),
       currentBus_(std::move(pristine_bus)), clockHz_(clock_hz)
 {
     if (clock_hz <= 0.0)
         divot_fatal("bus clock must be positive (got %g)", clock_hz);
     const MeasurementBudget budget = predictBudget(
-        protocol_->cpuSide().instrument().config(),
+        protocol_.cpuSide().instrument().config(),
         currentBus_.roundTripDelay());
     roundCycles_ = std::max<uint64_t>(budget.expectedCycles, 1);
-    nextRoundEnd_ = roundCycles_;
-}
-
-DivotGate::DivotGate(ChannelScheduler &fleet,
-                     MemoryController &controller, Sdram &sdram,
-                     double clock_hz)
-    : fleet_(&fleet), controller_(controller), sdram_(sdram),
-      currentBus_(fleet.channel(0).currentLine()), clockHz_(clock_hz)
-{
-    if (clock_hz <= 0.0)
-        divot_fatal("bus clock must be positive (got %g)", clock_hz);
-    // One gate round = one scheduler tick = the slowest wire's
-    // measurement budget (tickDuration() is the same quantity in
-    // seconds).
-    uint64_t cycles = 1;
-    for (std::size_t c = 0; c < fleet_->channelCount(); ++c)
-        cycles = std::max(cycles, fleet_->channel(c).roundCycles());
-    roundCycles_ = cycles;
     nextRoundEnd_ = roundCycles_;
 }
 
 DivotGate::~DivotGate() = default;
 
 void
-DivotGate::attachTelemetry(Telemetry *telemetry)
-{
-    if (telemetry == nullptr || !telemetry->enabled()) {
-        telemetry_ = nullptr;
-        tmRounds_ = Counter();
-        tmBusEvents_ = Counter();
-        tmDetections_ = Counter();
-        tmTrustFlips_ = Counter();
-        controller_.attachTelemetry(nullptr);
-        return;
-    }
-    telemetry_ = telemetry;
-    Registry &reg = telemetry_->registry();
-    tmRounds_ = reg.counter("gate.rounds");
-    tmBusEvents_ = reg.counter("gate.bus_events");
-    tmDetections_ = reg.counter("gate.detections");
-    tmTrustFlips_ = reg.counter("gate.trust_flips");
-    controller_.attachTelemetry(telemetry_);
-}
-
-void
 DivotGate::scheduleEvent(BusEvent event)
 {
-    if (fleet_ && event.wire >= fleet_->channelCount())
-        divot_fatal("bus event targets wire %zu of a %zu-wire fleet",
-                    event.wire, fleet_->channelCount());
     pending_.push_back(std::move(event));
     std::sort(pending_.begin(), pending_.end(),
               [](const BusEvent &a, const BusEvent &b) {
@@ -92,33 +49,10 @@ DivotGate::applyVerdict(bool trusted, bool block_access, uint64_t cycle)
         rec.latencySeconds =
             static_cast<double>(rec.latencyCycles) / clockHz_;
         rec.attack = outstandingAttack_;
-        if (telemetry_ != nullptr) {
-            tmDetections_.add();
-            TelemetryEvent event;
-            event.time = static_cast<double>(cycle) / clockHz_;
-            event.ordinal = cycle;
-            event.kind = "gate.detection";
-            event.tag = "gate";
-            event.detail = rec.attack;
-            telemetry_->events().record(std::move(event));
-        }
         detections_.push_back(rec);
         outstandingAttackCycle_.reset();
         outstandingAttack_.clear();
     }
-
-    if (telemetry_ != nullptr && trusted != lastTrusted_) {
-        tmTrustFlips_.add();
-        TelemetryEvent event;
-        event.time = static_cast<double>(cycle) / clockHz_;
-        event.ordinal = cycle;
-        event.kind = "gate.trust";
-        event.tag = "gate";
-        event.detail = trusted
-            ? "untrusted->trusted" : "trusted->untrusted";
-        telemetry_->events().record(std::move(event));
-    }
-    lastTrusted_ = trusted;
 }
 
 void
@@ -127,27 +61,10 @@ DivotGate::tick(uint64_t cycle)
     // Apply due physical changes.
     while (!pending_.empty() && pending_.front().cycle <= cycle) {
         BusEvent &event = pending_.front();
-        if (fleet_) {
-            if (event.wire == 0)
-                currentBus_ = event.newBus;
-            fleet_->channel(event.wire).replaceLine(
-                std::move(event.newBus));
-        } else {
-            currentBus_ = std::move(event.newBus);
-        }
+        currentBus_ = std::move(event.newBus);
         if (!outstandingAttackCycle_) {
             outstandingAttackCycle_ = event.cycle;
             outstandingAttack_ = event.description;
-        }
-        if (telemetry_ != nullptr) {
-            tmBusEvents_.add();
-            TelemetryEvent log;
-            log.time = static_cast<double>(event.cycle) / clockHz_;
-            log.ordinal = event.cycle;
-            log.kind = "bus.event";
-            log.tag = "gate";
-            log.detail = event.description;
-            telemetry_->events().record(std::move(log));
         }
         divot_inform("cycle %llu: bus change: %s",
                      static_cast<unsigned long long>(event.cycle),
@@ -162,22 +79,12 @@ DivotGate::tick(uint64_t cycle)
     // now exists.
     nextRoundEnd_ += roundCycles_;
     ++rounds_;
-    tmRounds_.add();
-
-    if (fleet_) {
-        const FleetRound round = fleet_->tick();
-        lastFleet_ = round.fused;
-        haveFleetVerdict_ = true;
-        applyVerdict(round.fused.busTrusted, round.fused.tamperAlarm,
-                     cycle);
-        return;
-    }
 
     if (lastOutcome_)
-        *lastOutcome_ = protocol_->monitorRound(currentBus_);
+        *lastOutcome_ = protocol_.monitorRound(currentBus_);
     else
         lastOutcome_ = std::make_unique<TwoWayOutcome>(
-            protocol_->monitorRound(currentBus_));
+            protocol_.monitorRound(currentBus_));
 
     applyVerdict(
         lastOutcome_->busTrusted,

@@ -11,21 +11,13 @@
  * physical change occurred, which is exactly what bounds DIVOT's
  * detection latency.
  *
- * The gate has two wirings:
- *
- *  - Protocol mode (legacy): a TwoWayAuthProtocol watches one bus
- *    from both ends; the gate trusts the bus while both directions
- *    pass.
- *  - Fleet mode: a ChannelScheduler multiplexes a shared iTDR pool
- *    across the N wires of the bus; the gate trusts the bus on the
- *    *fused* FleetVerdict (geometric-mean similarity across wires,
- *    M-of-N tamper vote), so a single tapped wire can cut memory off
- *    even when its siblings look healthy.
+ * A TwoWayAuthProtocol watches the bus from both ends; the gate
+ * trusts the bus while both directions pass.
  *
  * Attack scenarios are injected by swapping the "current bus" object
  * at a scheduled cycle: a cold-boot module swap replaces the line
  * wholesale, a probe attach tamper-transforms it, removal restores
- * it. In fleet mode an event targets one wire of the bus.
+ * it.
  */
 
 #ifndef DIVOT_MEMSYS_DIVOT_GATE_HH
@@ -36,25 +28,22 @@
 #include <string>
 #include <vector>
 
-#include "fleet/fleet_auth.hh"
 #include "memsys/controller.hh"
 #include "memsys/sdram.hh"
-#include "telemetry/telemetry.hh"
 #include "txline/txline.hh"
 
 namespace divot {
 
 class TwoWayAuthProtocol;
 struct TwoWayOutcome;
-class ChannelScheduler;
 
 /** One scheduled change of the physical bus state. */
 struct BusEvent
 {
     uint64_t cycle;           //!< when the physical change happens
     TransmissionLine newBus;  //!< the bus as it exists afterwards
-    std::string description;  //!< for the event log
-    std::size_t wire = 0;     //!< targeted wire (fleet mode only)
+    std::string description;  //!< logged; becomes the detection's
+                              //!< DetectionRecord::attack
 };
 
 /** Record of a detection. */
@@ -74,8 +63,6 @@ class DivotGate
 {
   public:
     /**
-     * Protocol mode.
-     *
      * @param protocol     calibrated two-way authenticator pair
      * @param controller   CPU-side memory controller to stall
      * @param sdram        device whose accesses get blocked
@@ -85,18 +72,6 @@ class DivotGate
     DivotGate(TwoWayAuthProtocol &protocol, MemoryController &controller,
               Sdram &sdram, TransmissionLine pristine_bus,
               double clock_hz);
-
-    /**
-     * Fleet mode: gate on the fused verdict of a multi-wire fleet.
-     *
-     * @param fleet      calibrated channel scheduler (calibrateAll()
-     *                   already done)
-     * @param controller CPU-side memory controller to stall
-     * @param sdram      device whose accesses get blocked
-     * @param clock_hz   bus clock frequency (latency conversion)
-     */
-    DivotGate(ChannelScheduler &fleet, MemoryController &controller,
-              Sdram &sdram, double clock_hz);
 
     ~DivotGate();
 
@@ -122,36 +97,17 @@ class DivotGate
         return detections_;
     }
 
-    /** @return the bus (wire 0 in fleet mode) as it currently
-     *  physically exists. */
+    /** @return the bus as it currently physically exists. */
     const TransmissionLine &currentBus() const { return currentBus_; }
 
     /** @return last round's two-way outcome, or nullptr before the
-     *  first round / in fleet mode. */
+     *  first round. */
     const TwoWayOutcome *lastOutcome() const { return lastOutcome_.get(); }
-
-    /** @return last round's fused fleet verdict, or nullptr before
-     *  the first round / in protocol mode. */
-    const FleetVerdict *lastFleetVerdict() const
-    {
-        return haveFleetVerdict_ ? &lastFleet_ : nullptr;
-    }
-
-    /**
-     * Attach a telemetry sink: monitoring rounds, applied bus events,
-     * detections, and trust flips are counted under "gate.*", and bus
-     * changes / detections / trust transitions land in the event log
-     * timestamped at the bus clock. Also instruments the attached
-     * MemoryController under "memctl". Pass nullptr to detach. Not
-     * owned; must outlive the gate.
-     */
-    void attachTelemetry(Telemetry *telemetry);
 
   private:
     void applyVerdict(bool trusted, bool block_access, uint64_t cycle);
 
-    TwoWayAuthProtocol *protocol_ = nullptr;
-    ChannelScheduler *fleet_ = nullptr;
+    TwoWayAuthProtocol &protocol_;
     MemoryController &controller_;
     Sdram &sdram_;
     TransmissionLine currentBus_;
@@ -162,20 +118,8 @@ class DivotGate
     std::vector<BusEvent> pending_;
     std::vector<DetectionRecord> detections_;
     std::unique_ptr<TwoWayOutcome> lastOutcome_;
-    FleetVerdict lastFleet_{};
-    bool haveFleetVerdict_ = false;
     std::optional<uint64_t> outstandingAttackCycle_;
     std::string outstandingAttack_;
-
-    /** @name Telemetry plumbing (inert until attachTelemetry). */
-    ///@{
-    Telemetry *telemetry_ = nullptr;
-    bool lastTrusted_ = true;
-    Counter tmRounds_;
-    Counter tmBusEvents_;
-    Counter tmDetections_;
-    Counter tmTrustFlips_;
-    ///@}
 };
 
 } // namespace divot

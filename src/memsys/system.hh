@@ -98,13 +98,6 @@ class ProtectedMemorySystem
     /** @return mutable device handle (for example payloads). */
     Sdram &sdram() { return *sdram_; }
 
-    /** Attach a fault injector to one side's instrument (campaign
-     *  hook; nullptr detaches). Not owned; must outlive the system. */
-    void attachFaultInjector(BusRole side, FaultInjector *injector)
-    {
-        protocol_->attachFaultInjector(side, injector);
-    }
-
   private:
     MemorySystemConfig config_;
     Rng rng_;

@@ -26,10 +26,10 @@ namespace divot {
 struct TelemetryEvent
 {
     double time = 0.0;    //!< simulated seconds (fleet wall clock,
-                          //!< gate cycle / f_clk, ...)
-    uint64_t ordinal = 0; //!< producer sequence (round, tick, cycle)
-    std::string kind;     //!< event class ("auth.state", "bus.event",
-                          //!< "health", "fleet.trust")
+                          //!< instrument cycle * t_clk, ...)
+    uint64_t ordinal = 0; //!< producer sequence (round, tick, request)
+    std::string kind;     //!< event class ("auth.state", "health",
+                          //!< "fleet.trust")
     std::string tag;      //!< channel / component tag
     std::string detail;   //!< human-readable payload
 };

@@ -95,12 +95,6 @@ TransmissionLine::sourceReflection() const
 }
 
 double
-TransmissionLine::junctionPosition(std::size_t i) const
-{
-    return static_cast<double>(i + 1) * segLen_;
-}
-
-double
 TransmissionLine::roundTripTimeAt(double distance) const
 {
     return 2.0 * distance / velocity_;

@@ -106,9 +106,6 @@ class TransmissionLine
     /** Reflection coefficient looking into the source from segment 0. */
     double sourceReflection() const;
 
-    /** @return spatial position (meters) of junction i. */
-    double junctionPosition(std::size_t i) const;
-
     /**
      * Convert a one-way distance from the source into the round-trip
      * reflection arrival time seen at the detector.

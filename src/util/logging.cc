@@ -74,10 +74,4 @@ setLogQuiet(bool quiet)
     quietFlag = quiet;
 }
 
-bool
-logQuiet()
-{
-    return quietFlag;
-}
-
 } // namespace divot

@@ -48,9 +48,6 @@ void logMessage(LogLevel level, const char *fmt, ...)
  */
 void setLogQuiet(bool quiet);
 
-/** @return true when Inform/Warn output is currently suppressed. */
-bool logQuiet();
-
 } // namespace divot
 
 #define divot_panic(...) \

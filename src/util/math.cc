@@ -13,13 +13,6 @@ normalCdf(double x)
     return 0.5 * std::erfc(-x * M_SQRT1_2);
 }
 
-void
-normalCdfSaturatedLane(const double *z, double *p, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        p[i] = normalCdfSaturated(z[i]);
-}
-
 double
 normalPdf(double x)
 {

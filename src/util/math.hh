@@ -35,13 +35,6 @@ normalCdfSaturated(double z)
     return z <= -8.0 ? 0.0 : z >= 8.0 ? 1.0 : normalCdf(z);
 }
 
-/**
- * Batched Phi-with-saturation over a lane of z-scores: p[i] =
- * normalCdfSaturated(z[i]). The scalar reference the vectorized
- * strobe kernels are ULP-tested against.
- */
-void normalCdfSaturatedLane(const double *z, double *p, std::size_t n);
-
 /** Standard normal probability density function phi(x). */
 double normalPdf(double x);
 

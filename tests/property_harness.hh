@@ -47,7 +47,7 @@ struct PropertyCase
     std::size_t channels = 2;    //!< wires in the bus
     std::size_t ticks = 3;       //!< scheduler rounds to run
     FaultPlan faults;            //!< empty for fault-free cases
-    std::size_t faultWire = 0;   //!< channel carrying the plan
+    std::size_t faultChannel = 0; //!< channel carrying the plan
     bool binomialEligible = false; //!< analytic engine serves every
                                    //!< measurement of this case
     std::vector<RequestStep> requests; //!< service request schedule
@@ -134,7 +134,7 @@ generateCase(std::size_t index)
             pc.faults.budgetOverrun(start, 1, rng.uniform(2.0, 4.0));
             break;
         }
-        pc.faultWire = rng.uniformInt(pc.channels);
+        pc.faultChannel = rng.uniformInt(pc.channels);
     }
 
     // Reactor scheduling mode rides on the tail of the draw stream so
@@ -215,11 +215,11 @@ runCase(const PropertyCase &pc, unsigned threads)
     // scope via a static-free idiom: attach, run, detach.
     FaultInjector injector(pc.faults, Rng(pc.seed ^ 0xfau));
     if (!pc.faults.empty())
-        fleet.channel(pc.faultWire).attachFaultInjector(&injector);
+        fleet.channel(pc.faultChannel).attachFaultInjector(&injector);
     for (std::size_t t = 0; t < pc.ticks; ++t)
         fleet.tick();
     if (!pc.faults.empty())
-        fleet.channel(pc.faultWire).attachFaultInjector(nullptr);
+        fleet.channel(pc.faultChannel).attachFaultInjector(nullptr);
     return fleet;
 }
 

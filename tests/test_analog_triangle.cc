@@ -135,6 +135,13 @@ TEST(TriangleWave, Validation)
     EXPECT_DEATH(TriangleWave(-1.0, 1.0), "amplitude");
     EXPECT_DEATH(TriangleWave(1.0, 0.0), "frequency");
     EXPECT_DEATH(TriangleWave(1.0, 1.0, 0.0, 5.0), "rc_shaping");
+    // NaN passes a plain `x < 0` check; every field must name itself.
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        EXPECT_DEATH(TriangleWave(bad, 1.0), "amplitude");
+        EXPECT_DEATH(TriangleWave(1.0, bad), "frequency");
+        EXPECT_DEATH(TriangleWave(1.0, 1.0, bad), "center");
+        EXPECT_DEATH(TriangleWave(1.0, 1.0, 0.0, bad), "rc_shaping");
+    }
 }
 
 TEST(VernierLevels, PaperExampleFiveLevels)

@@ -100,9 +100,22 @@ TEST(PdmSchedule, NonCoprimeConfigRejected)
 
 TEST(PdmSchedule, BadClockRejected)
 {
-    // A zero clock makes the derived triangle frequency invalid
-    // before the schedule's own clock check can run.
-    EXPECT_DEATH(PdmSchedule(PdmConfig{}, 0.0), "frequency");
+    // The clock is checked before the triangle frequency is derived
+    // from it, so each bad clock is named as the clock.
+    for (const double bad : {0.0, std::nan(""), HUGE_VAL, -HUGE_VAL})
+        EXPECT_DEATH(PdmSchedule(PdmConfig{}, bad), "clock frequency");
+}
+
+TEST(PdmSchedule, NonFiniteFixedReferenceRejected)
+{
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        for (const bool enabled : {true, false}) {
+            PdmConfig cfg;
+            cfg.enabled = enabled;
+            cfg.fixedReference = bad;
+            EXPECT_DEATH(PdmSchedule(cfg, kFs), "fixedReference");
+        }
+    }
 }
 
 } // namespace

@@ -90,7 +90,7 @@ runServiceCase(const PropertyCase &pc, unsigned threads)
 
     FaultInjector injector(pc.faults, Rng(pc.seed ^ 0xfau));
     if (!pc.faults.empty())
-        fleet.channel(pc.faultWire).attachFaultInjector(&injector);
+        fleet.channel(pc.faultChannel).attachFaultInjector(&injector);
 
     static int invocation = 0;
     std::unique_ptr<store::EnrollmentDb> db;
@@ -168,7 +168,7 @@ runServiceCase(const PropertyCase &pc, unsigned threads)
     } // service teardown closes any abandoned spans deterministically
 
     if (!pc.faults.empty())
-        fleet.channel(pc.faultWire).attachFaultInjector(nullptr);
+        fleet.channel(pc.faultChannel).attachFaultInjector(nullptr);
     r.exportJson = fleet.telemetry().exportJson();
     return r;
 }
