@@ -106,7 +106,9 @@ struct ScrubResult
     std::vector<std::string> lostIds; //!< records damaged beyond repair
                                       //!< (ids only when parseable)
     uint64_t lostUnnamed = 0; //!< unrecoverable records with no
-                              //!< readable id
+                              //!< readable id (owner should fence
+                              //!< the shard's channels it can no
+                              //!< longer serve)
 };
 
 /**
