@@ -399,34 +399,48 @@ BENCHMARK(BM_PdmReferenceAt)
     ->Arg(1)
     ->Arg(120);
 
-// One bin's noise block: n standard normals in one call, as
-// Comparator::strobeBatch draws them.
+// One bin's noise pairs: the polar rejection loops of n pairs in one
+// call, as Comparator::strobeBatch draws them (85 pairs: a 170-trial
+// bin).
 void
-BM_RngGaussianVector(benchmark::State &state)
+BM_RngPolarPairs(benchmark::State &state)
 {
     Rng rng(29);
-    std::vector<double> out(static_cast<std::size_t>(state.range(0)));
+    std::vector<double> uv(2 * static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
-        rng.gaussianVector(out.data(), out.size());
-        benchmark::DoNotOptimize(out.data());
+        rng.polarPairs(uv.data(), uv.size() / 2);
+        benchmark::DoNotOptimize(uv.data());
     }
     state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * out.size()));
+        static_cast<int64_t>(state.iterations() * uv.size()));
 }
-BENCHMARK(BM_RngGaussianVector)->Arg(170);
+BENCHMARK(BM_RngPolarPairs)->Arg(85);
 
+// One bin of Sampled strobes on one kernel target (0 scalar, 1 avx2):
+// draw the pairs, count the hits.
 void
 BM_ComparatorStrobeBatch(benchmark::State &state)
 {
+    const SimdTarget target =
+        state.range(1) != 0 ? SimdTarget::Avx2 : SimdTarget::Scalar;
+    if (!simdTargetSupported(target)) {
+        state.SkipWithError("target not supported on this machine");
+        return;
+    }
+    const StrobeKernels &kernels = target == SimdTarget::Avx2
+        ? *avx2StrobeKernels()
+        : *scalarStrobeKernels();
     Comparator cmp(ComparatorParams{}, Rng(21));
     std::vector<double> refs(static_cast<std::size_t>(state.range(0)));
     for (std::size_t i = 0; i < refs.size(); ++i)
         refs[i] = (static_cast<double>(i % 17) - 8.0) * 1e-3;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            cmp.strobeBatch(1e-3, refs.data(), refs.size()));
+            cmp.strobeBatch(1e-3, refs.data(), refs.size(), kernels));
 }
-BENCHMARK(BM_ComparatorStrobeBatch)->Arg(170)->Arg(1700);
+BENCHMARK(BM_ComparatorStrobeBatch)
+    ->ArgNames({"n", "avx2"})
+    ->ArgsProduct({{170, 1700}, {0, 1}});
 
 /** One parallelFor fan-out of n bodies on a pool of `threads`; each
  *  body busy-waits `body_us` microseconds (0: a single store). Wall

@@ -696,7 +696,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
             const double v_sig =
                 trace.valueAt(sampleTimes_[m]) + faultBias(t0);
             finishBin(m, comparator_.strobeBatch(v_sig, refScratch_.data(),
-                                                 trials_));
+                                                 trials_, *kernels_));
             pll_.stepPhase();
         }
     } else {

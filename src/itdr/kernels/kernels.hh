@@ -6,11 +6,13 @@
  * regular, per-bin-independent loops: the APC output-1 probability
  * Phi((V_sig + offset - ref)/sigma) over every (bin, Vernier level)
  * pair, the exact-binomial CDF-inversion draw per pair, and the
- * tiling of the periodic Vernier schedule. This layer packages those
- * loops as structure-of-arrays kernels with scalar / AVX2 / NEON
- * implementations selected at runtime — per instrument via
- * ItdrConfig::simd, or globally via the DIVOT_SIMD environment
- * variable ({auto, scalar, avx2, neon}; the environment wins).
+ * tiling of the periodic Vernier schedule. The Sampled engine adds a
+ * fourth: counting one bin's strobe hits from its polar noise pairs.
+ * This layer packages those loops as structure-of-arrays kernels with
+ * scalar / AVX2 / NEON implementations selected at runtime — per
+ * instrument via ItdrConfig::simd, or globally via the DIVOT_SIMD
+ * environment variable ({auto, scalar, avx2, neon}; the environment
+ * wins).
  *
  * Determinism contract, per kernel (DESIGN.md §13):
  *  - scalar is bit-identical to the pre-kernel Binomial engine (it
@@ -20,6 +22,10 @@
  *    identical probability inputs — the vector walk replays
  *    Rng::binomialInvert's IEEE operations lane-wise with non-FMA
  *    intrinsics and consumes uniforms in lane order;
+ *  - the polar strobe count is bit-identical across all targets:
+ *    vector lanes settle a strobe only where its sign or a bound
+ *    proves the scalar answer, and evaluate the scalar expression
+ *    otherwise;
  *  - the AVX2 Phi kernel is a polynomial approximation (|error| <
  *    ~3e-7) and may therefore differ from scalar in the last bits of
  *    interior probabilities — statistically invisible (pinned by the
@@ -88,6 +94,19 @@ struct StrobeKernels
     /** Tile one Vernier period: out[i] = period[i % levels]. */
     void (*tilePeriodic)(const double *period, std::size_t levels,
                          double *out, std::size_t n);
+
+    /**
+     * Hits of n Sampled strobes of one signal: strobe j hits when
+     * base - ref[j] + sigma * (uv[j] * m) > 0, where m is polarScale
+     * over strobe j's pair (uv[j & ~1], uv[j | 1]) and sigma > 0. n is
+     * even and uv holds n/2 pairs that Rng::polarPairs accepted. Every
+     * target returns the count of that expression (DESIGN.md §13.4):
+     * vector targets settle most strobes from signs and bounds without
+     * evaluating it.
+     */
+    unsigned (*polarStrobeHits)(const double *uv, const double *ref,
+                                std::size_t n, double base,
+                                double sigma);
 };
 
 /**

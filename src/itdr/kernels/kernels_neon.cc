@@ -11,7 +11,7 @@
  * the SoA restructuring plus the vector walk, and keeping libm means
  * the whole NEON kernel set is bit-identical to scalar — there is no
  * approximation seam to re-validate on hardware this repo's CI
- * cannot exercise.
+ * cannot exercise. The polar strobe count is the scalar kernel's.
  */
 
 #include "itdr/kernels/kernels.hh"
@@ -140,12 +140,21 @@ neonTilePeriodic(const double *period, std::size_t levels, double *out,
         out[i] = period[i % levels];
 }
 
+unsigned
+neonPolarStrobeHits(const double *uv, const double *ref, std::size_t n,
+                    double base, double sigma)
+{
+    return scalarStrobeKernels()->polarStrobeHits(uv, ref, n, base,
+                                                  sigma);
+}
+
 const StrobeKernels kNeonKernels = {
     SimdTarget::Neon,
     "neon",
     &neonApcProbabilityGrid,
     &neonBinomialLane,
     &neonTilePeriodic,
+    &neonPolarStrobeHits,
 };
 
 } // namespace

@@ -5,7 +5,9 @@
  * loops perform exactly the libm calls and Rng draws of the
  * pre-kernel Binomial engine (Comparator::strobeAnalytic +
  * Rng::binomial), in the same order, so a scalar-kernel measurement
- * reproduces the pre-kernel engine byte for byte.
+ * reproduces the pre-kernel engine byte for byte. The polar strobe
+ * count is the Sampled batch's arithmetic: one polarScale per pair,
+ * then the sign of each strobe's noisy difference.
  */
 
 #include "itdr/kernels/kernels.hh"
@@ -55,12 +57,26 @@ scalarTilePeriodic(const double *period, std::size_t levels,
         out[i] = period[i % levels];
 }
 
+unsigned
+scalarPolarStrobeHits(const double *uv, const double *ref, std::size_t n,
+                      double base, double sigma)
+{
+    unsigned hits = 0;
+    for (std::size_t j = 0; j < n; j += 2) {
+        const double m = polarScale(uv[j], uv[j + 1]);
+        hits += base - ref[j] + sigma * (uv[j] * m) > 0.0 ? 1u : 0u;
+        hits += base - ref[j + 1] + sigma * (uv[j + 1] * m) > 0.0 ? 1u : 0u;
+    }
+    return hits;
+}
+
 const StrobeKernels kScalarKernels = {
     SimdTarget::Scalar,
     "scalar",
     &scalarApcProbabilityGrid,
     &scalarBinomialLane,
     &scalarTilePeriodic,
+    &scalarPolarStrobeHits,
 };
 
 } // namespace

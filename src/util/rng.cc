@@ -18,17 +18,6 @@ splitmix64(uint64_t &state)
     return z ^ (z >> 31);
 }
 
-/** The polar method's scale for an accepted pair (u, v): the two
- *  normals are u * m and v * m. Recomputes s = u*u + v*v, which
- *  rounds to the value the rejection test accepted (ISO C++ fuses no
- *  multiply-add). */
-double
-polarScale(double u, double v)
-{
-    const double s = u * u + v * v;
-    return std::sqrt(-2.0 * std::log(s) / s);
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -51,8 +40,14 @@ Rng::gaussian()
         hasCachedNormal_ = false;
         return cachedNormal_;
     }
-    double u, v;
-    polarPair(u, v);
+    // The polar method (Marsaglia: no trig, well-behaved tails): a
+    // pair uniform in the unit disc minus its center.
+    double u, v, s;
+    do {
+        u = 2.0 * uniform() - 1.0;
+        v = 2.0 * uniform() - 1.0;
+        s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
     const double m = polarScale(u, v);
     cachedNormal_ = v * m;
     hasCachedNormal_ = true;
@@ -176,45 +171,6 @@ Rng::fork(uint64_t tag)
     // forks with the same tag differ.
     uint64_t mix = next() ^ (tag * 0xd6e8feb86659fd93ULL);
     return Rng(mix);
-}
-
-void
-Rng::gaussianVector(std::vector<double> &out)
-{
-    gaussianVector(out.data(), out.size());
-}
-
-void
-Rng::gaussianVector(double *out, std::size_t n)
-{
-    // The draws of n gaussian() calls, in two passes: first every
-    // rejection loop, back to back, parking each accepted (u, v) in
-    // the two slots its normals fill; then the scale of every pair,
-    // with no branch, so the log/div/sqrt chains of successive pairs
-    // overlap instead of each waiting on a rejection loop's
-    // mispredicts.
-    std::size_t i = 0;
-    if (n > 0 && hasCachedNormal_) {
-        out[i++] = cachedNormal_;
-        hasCachedNormal_ = false;
-    }
-    const std::size_t paired = n - (n - i) % 2;
-    for (std::size_t k = i; k < paired; k += 2)
-        polarPair(out[k], out[k + 1]);
-    double last_v = 0.0;  // v of an odd tail's pair: its normal is cached
-    if (paired < n)
-        polarPair(out[paired], last_v);
-    for (std::size_t k = i; k < paired; k += 2) {
-        const double m = polarScale(out[k], out[k + 1]);
-        out[k] *= m;
-        out[k + 1] *= m;
-    }
-    if (paired < n) {
-        const double m = polarScale(out[paired], last_v);
-        out[paired] *= m;
-        cachedNormal_ = last_v * m;
-        hasCachedNormal_ = true;
-    }
 }
 
 } // namespace divot

@@ -240,13 +240,22 @@ TEST(Rng, BinomialDeterministicUnderForkStable)
     EXPECT_EQ(c.binomial(50, 0.25), d.binomial(50, 0.25));
 }
 
-TEST(Rng, GaussianVectorFills)
+TEST(Rng, PolarPairsFill)
 {
+    // Every pair is accepted (inside the unit disc, off its center),
+    // and its scaled components are standard normals.
     Rng rng(35);
-    std::vector<double> v(1000);
-    rng.gaussianVector(v);
+    std::vector<double> uv(1000);
+    rng.polarPairs(uv.data(), uv.size() / 2);
     RunningStats s;
-    s.addAll(v);
+    for (std::size_t k = 0; k < uv.size(); k += 2) {
+        const double r2 = uv[k] * uv[k] + uv[k + 1] * uv[k + 1];
+        ASSERT_GT(r2, 0.0) << k;
+        ASSERT_LT(r2, 1.0) << k;
+        const double m = polarScale(uv[k], uv[k + 1]);
+        s.add(uv[k] * m);
+        s.add(uv[k + 1] * m);
+    }
     EXPECT_NEAR(s.mean(), 0.0, 0.15);
     EXPECT_NEAR(s.stddev(), 1.0, 0.15);
 }
@@ -260,28 +269,40 @@ bitsOf(double x)
     return bits;
 }
 
-TEST(Rng, GaussianVectorMatchesScalarDraws)
+TEST(Rng, PolarPairsMatchScalarDraws)
 {
-    // A block of n normals is the n scalar gaussian() calls it
-    // replaces, bit for bit, at every length (odd n ends on a cached
-    // normal), whether or not an earlier draw left one cached; the
-    // draws after the block agree too.
+    // A block of n pairs is the rejection loops of 2n scalar
+    // gaussian() calls: each pair scaled by polarScale gives their two
+    // normals bit for bit, and the draws after the block agree too. A
+    // normal cached before the block stays cached through it.
     for (const bool cached : {false, true}) {
-        for (std::size_t n = 0; n <= 300; ++n) {
-            Rng block(900 + n), scalar(900 + n);
+        for (std::size_t pairs = 0; pairs <= 150; ++pairs) {
+            Rng block(900 + pairs), scalar(900 + pairs);
+            double held = 0.0;
             if (cached) {
                 ASSERT_EQ(bitsOf(block.gaussian()),
                           bitsOf(scalar.gaussian()));
+                held = scalar.gaussian();
             }
-            std::vector<double> got(n);
-            block.gaussianVector(got.data(), n);
-            for (std::size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(bitsOf(got[i]), bitsOf(scalar.gaussian()))
-                    << "n " << n << " cached " << cached << " i " << i;
+            std::vector<double> uv(2 * pairs);
+            block.polarPairs(uv.data(), pairs);
+            for (std::size_t k = 0; k < uv.size(); k += 2) {
+                const double m = polarScale(uv[k], uv[k + 1]);
+                ASSERT_EQ(bitsOf(uv[k] * m), bitsOf(scalar.gaussian()))
+                    << "pairs " << pairs << " cached " << cached << " k "
+                    << k;
+                ASSERT_EQ(bitsOf(uv[k + 1] * m), bitsOf(scalar.gaussian()))
+                    << "pairs " << pairs << " cached " << cached << " k "
+                    << k;
+            }
+            ASSERT_EQ(block.hasCachedNormal(), cached);
+            if (cached) {
+                ASSERT_EQ(bitsOf(block.gaussian()), bitsOf(held));
             }
             for (int k = 0; k < 5; ++k) {
                 ASSERT_EQ(bitsOf(block.gaussian()), bitsOf(scalar.gaussian()))
-                    << "n " << n << " cached " << cached << " next " << k;
+                    << "pairs " << pairs << " cached " << cached
+                    << " next " << k;
             }
         }
     }
