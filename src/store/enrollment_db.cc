@@ -50,17 +50,22 @@ imageDamaged(const ShardParseReport &report)
 }
 
 /**
- * @return true when a damaged image yielded no records AND no
- * accounting of what was lost — either the parse failed outright or
- * the framing is so mangled the record count is unknowable. Rewriting
- * such an image would silently destroy every record it held while
- * reporting zero losses.
+ * @return true when a damaged image yielded no records AND named no
+ * lost record — the parse failed outright, the framing is so mangled
+ * the record count is unknowable, or every lost frame is anonymous (a
+ * zero-filled image reads as hundreds of empty frames that fail their
+ * CRC). Rewriting such an image would destroy every record it held
+ * without naming one of them.
  */
 bool
 imageUnreadable(const ShardParseReport &report, std::size_t recovered)
 {
     return imageDamaged(report) && recovered == 0 &&
-           report.unrecoverable.empty();
+           std::none_of(report.unrecoverable.begin(),
+                        report.unrecoverable.end(),
+                        [](const RecordDamage &dmg) {
+                            return !dmg.id.empty();
+                        });
 }
 
 } // namespace
@@ -688,16 +693,17 @@ EnrollmentDb::scrubShard(unsigned shard)
     if (!imageDamaged(report))
         return result; // pristine image: nothing to repair
     if (imageUnreadable(report, records.size())) {
-        // Nothing in the image could be recovered and nothing could
-        // even be counted as lost (parse failed outright, or the
-        // framing is mangled beyond accounting). Rewriting from the
-        // empty recovered map would destroy every record in the shard
-        // while reporting zero losses — exactly the silent wipe this
-        // layer must never do. Leave the file untouched (point lookups
-        // keep returning Unrecoverable, and the bytes stay available
-        // for forensics) and surface the wholesale loss so the fleet
-        // can demote the shard's channels immediately instead of at
-        // their next probe.
+        // Nothing in the image could be recovered and no lost record
+        // could be named (parse failed outright, the framing is
+        // mangled beyond accounting, or every lost frame is
+        // anonymous). Rewriting from the empty recovered map would
+        // destroy every record in the shard without naming one of
+        // them — exactly the silent wipe this layer must never do.
+        // Leave the file untouched (point lookups keep returning
+        // Unrecoverable, and the bytes stay available for forensics)
+        // and surface the wholesale loss so the fleet can demote the
+        // shard's channels immediately instead of at their next
+        // probe.
         result.unreadable = true;
         return result;
     }

@@ -98,7 +98,8 @@ struct ScrubResult
     unsigned shard = 0;    //!< shard index that was examined
     bool scanned = false;  //!< shard file existed and was examined
     bool repaired = false; //!< image was rewritten from recovered records
-    bool unreadable = false; //!< image yielded nothing recoverable; the
+    bool unreadable = false; //!< image yielded nothing recoverable and
+                             //!< named no lost record; the
                              //!< file is left untouched for forensics
                              //!< and every record in the shard must be
                              //!< presumed lost (owner should fence all
@@ -202,8 +203,9 @@ class EnrollmentDb
      * Records damaged in both banks are dropped from the rewrite and
      * reported in the result so the fleet can demote those channels
      * to PendingReenroll. An image that yields *nothing* recoverable
-     * is never rewritten (that would silently wipe the shard): it is
-     * left in place and flagged `ScrubResult::unreadable`.
+     * and names no lost record is never rewritten (that would
+     * silently wipe the shard): it is left in place and flagged
+     * `ScrubResult::unreadable`.
      */
     ScrubResult scrubShard(unsigned shard);
 

@@ -678,44 +678,61 @@ TEST(EnrollmentDbFaults, RottedJournalLengthIsTornTail)
 
 TEST(EnrollmentDb, ScrubNeverWipesUnreadableShard)
 {
-    const std::string dir = freshDir("db_unreadable");
-    EnrollmentDbConfig cfg = smallConfig(dir);
-    cfg.shards = 1;
-    EnrollmentDb db(cfg);
-    ASSERT_TRUE(db.open());
-    for (int i = 0; i < 5; ++i)
-        ASSERT_TRUE(db.put(testRecord("u" + std::to_string(i), i)));
-    ASSERT_TRUE(db.checkpoint());
+    // Wrecks that leave nothing recoverable and name no lost record:
+    // garbage, zeros (the frame walker reads them as hundreds of empty
+    // frames that fail their CRC), and a one-record image cut to 40%.
+    struct Wreck
+    {
+        const char *dir;
+        int records;
+        bool cut;
+        char fill;
+    };
+    for (const Wreck &wreck : {Wreck{"db_unreadable", 5, false, 'x'},
+                               Wreck{"db_unreadable_zeros", 5, false, 0},
+                               Wreck{"db_unreadable_cut", 1, true, 0}}) {
+        SCOPED_TRACE(wreck.dir);
+        const std::string dir = freshDir(wreck.dir);
+        EnrollmentDbConfig cfg = smallConfig(dir);
+        cfg.shards = 1;
+        EnrollmentDb db(cfg);
+        ASSERT_TRUE(db.open());
+        for (int i = 0; i < wreck.records; ++i)
+            ASSERT_TRUE(db.put(testRecord("u" + std::to_string(i), i)));
+        ASSERT_TRUE(db.checkpoint());
 
-    // Wreck the whole image: nothing recoverable, and no way to even
-    // count what was lost.
-    std::vector<char> bytes;
-    ASSERT_TRUE(readFile(db.shardPath(0), bytes));
-    const std::vector<char> garbage(bytes.size(), 'x');
-    ASSERT_TRUE(atomicWriteFile(db.shardPath(0), garbage));
+        std::vector<char> bytes;
+        ASSERT_TRUE(readFile(db.shardPath(0), bytes));
+        const std::vector<char> wrecked = wreck.cut
+            ? std::vector<char>(bytes.begin(),
+                                bytes.begin() + bytes.size() * 2 / 5)
+            : std::vector<char>(bytes.size(), wreck.fill);
+        ASSERT_TRUE(atomicWriteFile(db.shardPath(0), wrecked));
 
-    // Scrub must refuse the rewrite (it would silently wipe the
-    // shard), flag the wholesale loss, and leave the bytes in place.
-    const ScrubResult scrub = db.scrubShard(0);
-    EXPECT_TRUE(scrub.scanned);
-    EXPECT_TRUE(scrub.unreadable);
-    EXPECT_FALSE(scrub.repaired);
-    EXPECT_EQ(scrub.shard, 0u);
-    std::vector<char> after;
-    ASSERT_TRUE(readFile(db.shardPath(0), after));
-    EXPECT_EQ(after, garbage);
-    // Lookups report damage — never junk, never "provably absent".
-    EnrollmentRecord out;
-    EXPECT_EQ(db.get("u0", out), DbGetStatus::Unrecoverable);
+        // Scrub must refuse the rewrite (it would silently wipe the
+        // shard), flag the wholesale loss, and leave the bytes in place.
+        const ScrubResult scrub = db.scrubShard(0);
+        EXPECT_TRUE(scrub.scanned);
+        EXPECT_TRUE(scrub.unreadable);
+        EXPECT_FALSE(scrub.repaired);
+        EXPECT_EQ(scrub.shard, 0u);
+        EXPECT_TRUE(scrub.lostIds.empty());
+        std::vector<char> after;
+        ASSERT_TRUE(readFile(db.shardPath(0), after));
+        EXPECT_EQ(after, wrecked);
+        // Lookups report damage — never junk, never "provably absent".
+        EnrollmentRecord out;
+        EXPECT_EQ(db.get("u0", out), DbGetStatus::Unrecoverable);
 
-    // An overlay flush over the unreadable image preserves the bytes
-    // aside as .corrupt instead of destroying them.
-    ASSERT_TRUE(db.put(testRecord("fresh", 9.0)));
-    ASSERT_TRUE(db.checkpoint());
-    std::vector<char> kept;
-    ASSERT_TRUE(readFile(db.shardPath(0) + ".corrupt", kept));
-    EXPECT_EQ(kept, garbage);
-    EXPECT_EQ(db.get("fresh", out), DbGetStatus::Ok);
+        // An overlay flush over the unreadable image preserves the
+        // bytes aside as .corrupt instead of destroying them.
+        ASSERT_TRUE(db.put(testRecord("fresh", 9.0)));
+        ASSERT_TRUE(db.checkpoint());
+        std::vector<char> kept;
+        ASSERT_TRUE(readFile(db.shardPath(0) + ".corrupt", kept));
+        EXPECT_EQ(kept, wrecked);
+        EXPECT_EQ(db.get("fresh", out), DbGetStatus::Ok);
+    }
 }
 
 TEST(StoreIo, ReadFileContract)
