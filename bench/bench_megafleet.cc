@@ -14,11 +14,7 @@
  *  3. zero junk — under a campaign of torn writes, power cuts, bit
  *     rot, and shard truncation, every damaged record either recovers
  *     through a surviving bank or lands in PendingReenroll; no tick
- *     fuses a corrupted fingerprint into the bus verdict;
- *  4. schedule — the reactor's Pipelined instrument schedule
- *     out-utilizes the Barrier schedule on the same fleet while
- *     leaving the verdict digest bit-identical (the schedule is pure
- *     accounting, DESIGN.md §15).
+ *     fuses a corrupted fingerprint into the bus verdict.
  *
  * Cross-PR tracking: --json appends a {"bench": "megafleet"} record
  * to BENCH_study_throughput.json (the committed perf trajectory;
@@ -341,10 +337,7 @@ main(int argc, char **argv)
     std::size_t campaignChannels = 20000;
     if (opt.million) {
         // The 10^6 capacity leg: fewer ticks (each tick probes 8192
-        // wires), same bounded-memory contract. The pipelined
-        // schedule leg is skipped — its accounting story is already
-        // proven at the smaller scales and the clean runs dominate
-        // the wall clock here.
+        // wires), same bounded-memory contract.
         base.channels = 1000000;
         base.store.shards = 2048;
         base.probesPerTick = 8192;
@@ -444,39 +437,6 @@ main(int argc, char **argv)
                 lanesK, determinism_pass ? "PASS" : "FAIL",
                 static_cast<unsigned long long>(
                     serial.report.verdictDigest));
-
-    // --- Instrument-schedule accounting: the reactor's Pipelined
-    // mode must out-utilize the Barrier pool on the same fleet
-    // without touching a single verdict bit (the schedule is pure
-    // accounting; probe math is identical). --------------------------
-    bool schedule_digest_pass = true;
-    bool schedule_util_pass = true;
-    double pipelinedUtilization = 0.0;
-    if (opt.million) {
-        std::printf("\ninstrument-schedule leg skipped at million "
-                    "scale (proven at the smaller scales)\n");
-    } else {
-        MegaFleetConfig pipelinedCfg = base;
-        pipelinedCfg.schedule = ReactorMode::Pipelined;
-        const RunResult pipelined =
-            runFleet(pipelinedCfg, root + "/clean-pipelined", 0,
-                     /*lanes=*/0, ticks, opt.seed, nullptr);
-        pipelinedUtilization = pipelined.report.instrumentUtilization;
-        schedule_digest_pass = pipelined.report.verdictDigest ==
-            serial.report.verdictDigest;
-        schedule_util_pass = pipelined.report.instrumentUtilization >
-            serial.report.instrumentUtilization;
-        std::printf("\ninstrument pool (%zu iTDRs): utilization "
-                    "barrier %.3f, pipelined %.3f\n",
-                    base.instruments,
-                    serial.report.instrumentUtilization,
-                    pipelined.report.instrumentUtilization);
-        std::printf("schedule-invariance gate (digest barrier == "
-                    "pipelined): %s\n",
-                    schedule_digest_pass ? "PASS" : "FAIL");
-        std::printf("utilization gate (pipelined > barrier): %s\n",
-                    schedule_util_pass ? "PASS" : "FAIL");
-    }
 
     // --- Storage fault campaign: torn write, power cuts at every
     // commit point, bit rot, shard truncation. -----------------------
@@ -654,10 +614,8 @@ main(int argc, char **argv)
         appendf(r, "    \"residentBudgetBytes\": %zu,\n",
                 base.residentBudgetBytes);
         appendf(r, "    \"instruments\": %zu,\n", base.instruments);
-        appendf(r, "    \"fleet.instrument.utilization\": "
-                "{\"barrier\": %.4f, \"pipelined\": %.4f},\n",
-                serial.report.instrumentUtilization,
-                pipelinedUtilization);
+        appendf(r, "    \"fleet.instrument.utilization\": %.4f,\n",
+                serial.report.instrumentUtilization);
         appendf(r, "    \"verdictDigest\": \"%016llx\",\n",
                 static_cast<unsigned long long>(
                     serial.report.verdictDigest));
@@ -681,18 +639,14 @@ main(int argc, char **argv)
         appendf(r, "    \"determinismPass\": %s,\n",
                 determinism_pass && fault_determinism_pass
                     ? "true" : "false");
-        appendf(r, "    \"zeroJunkPass\": %s,\n",
+        appendf(r, "    \"zeroJunkPass\": %s\n",
                 junk_pass ? "true" : "false");
-        appendf(r, "    \"schedulePass\": %s\n",
-                schedule_digest_pass && schedule_util_pass
-                    ? "true" : "false");
         appendf(r, "  }");
         appendRecord(record_path, r);
     }
 
     const bool pass = capacity_pass && determinism_pass &&
         fault_determinism_pass && junk_pass && recovery_pass &&
-        schedule_digest_pass && schedule_util_pass &&
         service_determinism_pass && service_junk_pass &&
         service_admission_pass && gate_pass;
     std::printf("\n%s\n", pass ? "ALL GATES PASS" : "GATE FAILURE");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/completion_queue.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -20,11 +19,6 @@ constexpr uint64_t kTagFleetChannel = 0x7000ULL;
 // any organic priority (staleness is bounded by the tick count of a
 // run, risk by 8), so a requested channel wins the next dispatch.
 constexpr uint64_t kRequestBoost = 1ull << 32;
-
-// Slack for "does this round still fit in the epoch" comparisons:
-// epoch boundaries are sums of per-round durations, so a fitting
-// round can miss the boundary by an ulp of accumulated FP error.
-constexpr double kEpochSlack = 1e-12;
 
 // Risk weight of an authenticator state: how urgently the scheduler
 // should spend a shared instrument on a channel in that state.
@@ -69,14 +63,11 @@ ChannelScheduler::ChannelScheduler(FleetConfig config, Rng rng)
       fleetAuth_(config.fusion, config.similarityThreshold,
                  config.tamperWireVotes),
       pool_(std::make_unique<ThreadPool>(config.threads)),
-      cq_(std::make_unique<CompletionQueue>(*pool_)),
-      reactor_(std::make_unique<Reactor>(config.reactor,
-                                         config.instruments))
+      reactor_(std::make_unique<Reactor>(config.instruments))
 {
     if (config_.instruments == 0)
         divot_fatal("fleet needs at least one iTDR instrument");
     pool_->attachTelemetry(telemetry_.get(), "fleet.pool");
-    cq_->attachTelemetry(telemetry_.get(), "fleet.cq");
     reactor_->attachTelemetry(telemetry_.get());
     Registry &reg = telemetry_->registry();
     tmTicks_ = reg.counter("fleet.ticks");
@@ -119,8 +110,6 @@ ChannelScheduler::addChannel(BusChannelConfig config)
     probeCounts_.push_back(0);
     generations_.push_back(0);
     phase_.push_back(ChannelPhase::Idle);
-    lastDispatchTick_.push_back(-1);
-    channelSlot_.push_back(0);
     requestBoost_.push_back(0);
     nameIndex_.emplace(channels_.back()->name(), index);
     if (db_ != nullptr) {
@@ -144,13 +133,9 @@ ChannelScheduler::rebuildShardRouting()
 unsigned
 ChannelScheduler::resolveLanes() const
 {
-    // Lanes partition *hydration*, which only exists store-backed;
-    // Pipelined mode interleaves hydration with dispatch chains whose
-    // order is instrument-driven, so it keeps the single queue.
-    if (db_ == nullptr ||
-        config_.reactor.mode == ReactorMode::Pipelined) {
+    // Lanes partition *hydration*, which only exists store-backed.
+    if (db_ == nullptr)
         return 1;
-    }
     if (config_.reactorLanes != 0)
         return config_.reactorLanes;
     const unsigned shards =
@@ -203,8 +188,8 @@ ChannelScheduler::attachStore(store::EnrollmentDb *db,
         // phase on the primary.
         laneReactors_.reserve(laneCount_);
         for (unsigned k = 0; k < laneCount_; ++k) {
-            laneReactors_.push_back(std::make_unique<Reactor>(
-                config_.reactor, config_.instruments));
+            laneReactors_.push_back(
+                std::make_unique<Reactor>(config_.instruments));
             laneReactors_.back()->attachTelemetry(telemetry_.get());
             laneReactors_.back()->reserve(config_.instruments + 1);
         }
@@ -395,18 +380,9 @@ ChannelScheduler::calibrateAll()
         enforceResidentBudget(-1);
     }
     divot_inform("fleet calibrated: %zu channels, %zu instruments, "
-                 "%s policy, %s reactor, tick %.3g s",
+                 "%s policy, tick %.3g s",
                  channels_.size(), config_.instruments,
-                 schedulerPolicyName(config_.policy),
-                 reactorModeName(config_.reactor.mode), tickDuration());
-}
-
-double
-ChannelScheduler::tickDuration() const
-{
-    if (config_.reactor.mode == ReactorMode::Pipelined)
-        return slot_ * static_cast<double>(config_.reactor.epochSlots);
-    return slot_;
+                 schedulerPolicyName(config_.policy), tickDuration());
 }
 
 ChannelPhase
@@ -469,51 +445,6 @@ ChannelScheduler::selectChannels() const
     return selected;
 }
 
-bool
-ChannelScheduler::tryDispatch(double vtime)
-{
-    // Pipelined ranking mirrors selectChannels(), restricted to
-    // channels that are idle, not fenced, not yet dispatched this
-    // epoch, and whose round still finishes inside the epoch. The
-    // best fitting candidate wins (tie-break: lower index), so a
-    // too-long round near the boundary doesn't idle an instrument a
-    // shorter round could use.
-    bool found = false;
-    uint64_t bestPriority = 0;
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-        if (phase_[i] != ChannelPhase::Idle)
-            continue;
-        const AuthState state = channels_[i]->state();
-        if (state == AuthState::PendingReenroll)
-            continue;
-        if (lastDispatchTick_[i] == static_cast<int64_t>(tick_))
-            continue;
-        if (vtime + channels_[i]->roundDuration() >
-            epochEnd_ + kEpochSlack) {
-            continue;
-        }
-        const uint64_t staleness = static_cast<uint64_t>(
-            static_cast<int64_t>(tick_) - lastProbeTick_[i]);
-        uint64_t priority = staleness;
-        if (config_.policy == SchedulerPolicy::RiskWeighted)
-            priority *= riskWeight(state);
-        priority += requestBoost_[i];
-        if (!found || priority > bestPriority) {
-            found = true;
-            bestPriority = priority;
-            best = i;
-        }
-    }
-    if (!found)
-        return false;
-    lastDispatchTick_[best] = static_cast<int64_t>(tick_);
-    phase_[best] = ChannelPhase::Hydrating;
-    scheduleEvent(*reactor_, ReactorEventType::HydrateRequest, vtime,
-                  best);
-    return true;
-}
-
 void
 ChannelScheduler::handleEvent(const ReactorEvent &event)
 {
@@ -558,45 +489,15 @@ void
 ChannelScheduler::onHydrateRequest(const ReactorEvent &event)
 {
     const std::size_t c = event.channel;
-    const bool pipelined =
-        config_.reactor.mode == ReactorMode::Pipelined;
     if (!hydrateChannel(c, event.vtime)) {
         // Channel fenced (demotion already observed into the fused
-        // verdict); record the manifestation and, pipelined, hand the
-        // freed dispatch slot to the next ranked candidate.
+        // verdict); record the manifestation.
         scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
                       event.vtime, c);
-        if (pipelined)
-            tryDispatch(event.vtime);
         return;
     }
     phase_[c] = ChannelPhase::Probing;
-    if (!pipelined) {
-        epochReady_.push_back(c);
-        return;
-    }
-    // Scheduling metrics at dispatch: staleness and risk weight are
-    // exactly the quantities the ranking used, and the probe will
-    // update them.
-    tmStaleness_.record(static_cast<uint64_t>(
-        static_cast<int64_t>(tick_) - lastProbeTick_[c]));
-    tmRiskWeight_.record(riskWeight(channels_[c]->state()));
-    tmChannelProbes_[c].add();
-    const double vtime = event.vtime;
-    const std::size_t slot = pipeProbes_.size();
-    ChannelProbe seed;
-    seed.channel = c;
-    pipeProbes_.push_back(seed);
-    channelSlot_[c] = slot;
-    ChannelProbe *out = &pipeProbes_.back();
-    BusChannel *ch = channels_[c].get();
-    // Physical computation on the pool; logical completion at the
-    // ProbeComplete event, in deterministic (vtime, seq) order.
-    const CompletionQueue::Ticket ticket = cq_->submit(
-        [ch, out, vtime] { out->verdict = ch->monitorAt(vtime); });
-    reactor_->acquireInstrument();
-    scheduleEvent(*reactor_, ReactorEventType::ProbeComplete,
-                  vtime + ch->roundDuration(), c, ticket);
+    epochReady_.push_back(c);
 }
 
 void
@@ -691,9 +592,8 @@ ChannelScheduler::hydrateLanes(const std::vector<std::size_t> &selected)
 }
 
 void
-ChannelScheduler::launchBarrierProbes()
+ChannelScheduler::launchProbes()
 {
-    probesLaunched_ = true;
     const double wall = epochWall_;
 
     // Scheduling metrics captured before the probes run: staleness and
@@ -735,54 +635,14 @@ ChannelScheduler::launchBarrierProbes()
 }
 
 void
-ChannelScheduler::scheduleEpochTail()
-{
-    scheduleEvent(*reactor_, ReactorEventType::FuseEpoch, epochEnd_);
-    if (db_ != nullptr) {
-        scheduleEvent(*reactor_, ReactorEventType::EvictPressure,
-                      epochEnd_);
-        // Idle instrument time funds background maintenance, as idle
-        // slots did under the barrier scheduler.
-        const double capacity =
-            static_cast<double>(config_.instruments) *
-            (epochEnd_ - epochWall_);
-        const double busy = reactor_->busySeconds() - epochBusyStart_;
-        if (busy + kEpochSlack < capacity)
-            scheduleEvent(*reactor_, ReactorEventType::ScrubStep,
-                          epochEnd_);
-    }
-}
-
-void
 ChannelScheduler::onProbeComplete(const ReactorEvent &event)
 {
     const std::size_t c = event.channel;
-    const double dur = channels_[c]->roundDuration();
-    if (config_.reactor.mode == ReactorMode::Pipelined) {
-        // Block until this probe's computation finished; every other
-        // ordering decision was already fixed at dispatch.
-        cq_->wait(event.ticket);
-        const ChannelProbe &probe = pipeProbes_[channelSlot_[c]];
-        lastProbeTick_[c] = static_cast<int64_t>(tick_);
-        ++probeCounts_[c];
-        fleetAuth_.observe(c, probe.verdict);
-        round_.probes.push_back(probe);
-        reactor_->releaseInstrument(dur);
-        phase_[c] = ChannelPhase::Idle;
-        requestBoost_[c] = 0;
-        if (hook_ != nullptr)
-            hook_->onProbeObserved(c, probe.verdict, event.vtime);
-        // The freed instrument goes straight to the next ranked
-        // channel whose round still fits — the saturation win over
-        // the barrier scheduler.
-        tryDispatch(event.vtime);
-        return;
-    }
     const ChannelProbe &probe = round_.probes[event.ticket];
     lastProbeTick_[c] = static_cast<int64_t>(tick_);
     ++probeCounts_[c];
     fleetAuth_.observe(c, probe.verdict);
-    reactor_->releaseInstrument(dur);
+    reactor_->releaseInstrument(channels_[c]->roundDuration());
     phase_[c] = ChannelPhase::Idle;
     requestBoost_[c] = 0;
     if (hook_ != nullptr)
@@ -794,7 +654,6 @@ ChannelScheduler::onFuseEpoch(const ReactorEvent &event)
 {
     round_.fused = fleetAuth_.evaluate(tick_);
     lastVerdict_ = round_.fused;
-    epochFused_ = true;
     if (hook_ != nullptr)
         hook_->onEpochFused(round_.fused, event.vtime);
 }
@@ -857,91 +716,53 @@ ChannelScheduler::tick()
     if (!calibrated_)
         divot_fatal("fleet tick() before calibrateAll()");
 
-    const bool pipelined =
-        config_.reactor.mode == ReactorMode::Pipelined;
     const double epochLen = tickDuration();
     epochWall_ = epochLen * static_cast<double>(tick_);
     epochEnd_ = epochWall_ + epochLen;
-    epochBusyStart_ = reactor_->busySeconds();
     round_ = FleetRound();
     round_.tick = tick_;
-    epochFused_ = false;
-    probesLaunched_ = false;
     epochReady_.clear();
-    pipeProbes_.clear();
-    epochSeeded_ = 0;
 
     SpanScope span = telemetry_->tracer().open("fleet.tick", "fleet",
                                                epochWall_, tick_);
+    const auto drain = [this] {
+        while (!reactor_->empty())
+            handleEvent(reactor_->pop());
+    };
 
     // Service requests admitted since the last epoch wait at the head
     // of the queue (the previous epoch drained everything else).
     // Consume them before ranking so their boosts steer this epoch's
     // dispatch; immediate kinds complete right here, because arrival
     // handlers schedule RequestComplete events this same loop drains.
-    while (!reactor_->empty())
-        handleEvent(reactor_->pop());
+    drain();
 
-    if (pipelined) {
-        SpanScope epochSpan = telemetry_->tracer().open(
-            "fleet.reactor.epoch", "reactor", epochWall_, tick_);
-        // Seed one dispatch chain per instrument; each chain keeps
-        // its instrument busy until no ranked candidate fits in the
-        // epoch anymore.
-        for (std::size_t k = 0; k < config_.instruments; ++k) {
-            if (!tryDispatch(epochWall_))
-                break;
-            ++epochSeeded_;
-        }
-        for (;;) {
-            if (reactor_->empty()) {
-                if (epochFused_)
-                    break;
-                scheduleEpochTail();
-            }
-            handleEvent(reactor_->pop());
-        }
-        epochSpan.close(epochEnd_, 0);
-    } else {
-        const std::vector<std::size_t> selected = selectChannels();
-        epochSeeded_ = selected.size();
-        for (std::size_t j = 0; j < selected.size(); ++j) {
-            const std::size_t c = selected[j];
-            phase_[c] = ChannelPhase::Hydrating;
-            // Lane routing follows the store shard (shard % K), so a
-            // lane's queue aligns with its shard-cache partition; the
-            // ticket carries the selection position for the staged
-            // outcome slot.
-            scheduleEvent(laneCount_ > 1 ? *laneReactors_[laneOf(c)]
-                                         : *reactor_,
-                          ReactorEventType::HydrateRequest,
-                          epochWall_, c, /*ticket=*/j);
-        }
-        if (laneCount_ > 1)
-            hydrateLanes(selected);
-        // Hydrations consume in ascending channel order (equal vtime,
-        // ascending seq); the queue then runs dry and the probe batch
-        // + epoch tail launch in the pre-reactor operation order.
-        for (;;) {
-            if (reactor_->empty()) {
-                if (epochFused_)
-                    break;
-                if (!probesLaunched_)
-                    launchBarrierProbes();
-                else
-                    scheduleEpochTail();
-            }
-            handleEvent(reactor_->pop());
-        }
+    const std::vector<std::size_t> selected = selectChannels();
+    for (std::size_t j = 0; j < selected.size(); ++j) {
+        const std::size_t c = selected[j];
+        phase_[c] = ChannelPhase::Hydrating;
+        // Lane routing follows the store shard (shard % K), so a
+        // lane's queue aligns with its shard-cache partition; the
+        // ticket carries the selection position for the staged
+        // outcome slot.
+        scheduleEvent(laneCount_ > 1 ? *laneReactors_[laneOf(c)]
+                                     : *reactor_,
+                      ReactorEventType::HydrateRequest, epochWall_, c,
+                      /*ticket=*/j);
     }
+    if (laneCount_ > 1)
+        hydrateLanes(selected);
+    // Hydrations consume in ascending channel order (equal vtime,
+    // ascending seq); once the queue runs dry the probe batch + epoch
+    // tail launch and drain in the pre-reactor operation order.
+    drain();
+    launchProbes();
+    drain();
 
     tmTicks_.add();
     tmProbes_.add(round_.probes.size());
     tmInstrumentSlots_.add(config_.instruments);
-    const std::size_t used =
-        pipelined ? std::min(config_.instruments, epochSeeded_)
-                  : round_.probes.size();
-    tmIdleSlots_.add(config_.instruments - used);
+    tmIdleSlots_.add(config_.instruments - round_.probes.size());
     (round_.fused.busTrusted ? tmTrusted_ : tmUntrusted_).add();
     if (round_.fused.tamperAlarm)
         tmAlarms_.add();

@@ -19,17 +19,9 @@
  * probe completion, fusion, eviction pressure, scrub, and faults are
  * queue events consumed in (virtual wall-clock, sequence) order, and
  * each channel steps through the ChannelPhase state machine as its
- * events arrive. Two scheduling modes share the machinery
- * (FleetConfig::reactor):
- *
- *  - ReactorMode::Barrier (default): every probe of a tick measures
- *    at the tick's wall-clock and completes on its boundary —
- *    bit-identical rounds and stable telemetry to the pre-reactor
- *    scheduler.
- *  - ReactorMode::Pipelined: a completing probe releases its
- *    instrument to the next ranked channel immediately, so short
- *    rounds are not stretched to the slowest channel's; fusion runs
- *    on epoch boundaries (`epochSlots` x the barrier tick length).
+ * events arrive. Every probe of a tick measures at the tick's
+ * wall-clock and completes on its boundary, so rounds and stable
+ * telemetry are bit-identical to the pre-reactor scheduler.
  *
  * Determinism contract (see DESIGN.md §4, §10 and §15): probe
  * computations run in parallel on the shared ThreadPool but touch
@@ -38,15 +30,13 @@
  * only while the single-threaded event loop consumes the
  * corresponding event, in an order that is a pure function of
  * (seed, config). Fleet rounds are therefore bit-identical at any
- * thread count, in both modes, with and without a store or fault
- * plans attached.
+ * thread count, with and without a store or fault plans attached.
  */
 
 #ifndef DIVOT_FLEET_CHANNEL_SCHEDULER_HH
 #define DIVOT_FLEET_CHANNEL_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -60,8 +50,6 @@
 #include "util/rng.hh"
 
 namespace divot {
-
-class CompletionQueue;
 
 /** Channel-selection policy for the shared instrument pool. */
 enum class SchedulerPolicy
@@ -85,8 +73,6 @@ struct FleetConfig
     TelemetryConfig telemetry;   //!< fleet-owned observability (on by
                                  //!< default; enabled=false for the
                                  //!< zero-overhead ablation path)
-    ReactorConfig reactor;       //!< event-core knobs: scheduling
-                                 //!< mode, epoch length, queue bound
 
     /**
      * Global admission bound of the request service (FleetService):
@@ -101,7 +87,7 @@ struct FleetConfig
     std::size_t requestChannelDepth = 4;
 
     /**
-     * Reactor hydration lanes (store-backed Barrier mode only): the
+     * Reactor hydration lanes (store-backed fleets only): the
      * epoch's hydration requests are partitioned by store shard —
      * lane k owns channels whose shard s satisfies s % K == k — into
      * K independent (vtime, seq) event queues drained in parallel,
@@ -109,8 +95,8 @@ struct FleetConfig
      * the ascending-channel order the single-lane loop would have
      * consumed, so fused verdicts, stable telemetry, and event counts
      * are bit-identical for K=1 vs any K at any thread count (see
-     * DESIGN.md §16). 0 = auto: min(store shards, 8). Pipelined mode
-     * and storeless fleets always run one lane.
+     * DESIGN.md §16). 0 = auto: min(store shards, 8). Storeless
+     * fleets always run one lane.
      */
     unsigned reactorLanes = 0;
 };
@@ -126,9 +112,7 @@ struct ChannelProbe
 struct FleetRound
 {
     uint64_t tick = 0;                //!< tick index (0-based)
-    std::vector<ChannelProbe> probes; //!< Barrier: ascending channel
-                                      //!< order; Pipelined: probe
-                                      //!< completion order
+    std::vector<ChannelProbe> probes; //!< ascending channel order
     FleetVerdict fused{};             //!< bus verdict after the tick
 };
 
@@ -235,10 +219,9 @@ class ChannelScheduler
     /** @return scheduler configuration. */
     const FleetConfig &config() const { return config_; }
 
-    /** @return wall-clock length of one tick, seconds (valid after
-     *  calibrateAll(); in Pipelined mode a tick spans
-     *  `reactor.epochSlots` barrier slots). */
-    double tickDuration() const;
+    /** @return wall-clock length of one tick, seconds: the slowest
+     *  channel's round (valid after calibrateAll()). */
+    double tickDuration() const { return slot_; }
 
     /** @return the fleet-owned telemetry sink (never null; disabled
      *  when FleetConfig::telemetry.enabled is false). */
@@ -251,7 +234,7 @@ class ChannelScheduler
     const Reactor &reactor() const { return *reactor_; }
 
     /** @return resolved reactor-lane count (1 until a store is
-     *  attached; Pipelined mode always runs one lane). */
+     *  attached). */
     unsigned reactorLaneCount() const { return laneCount_; }
 
     /** @return lane-invariant peak of total queued events across the
@@ -357,7 +340,7 @@ class ChannelScheduler
     void demoteToPendingReenroll(std::size_t index, double wall);
     /** Rebuild the shard → channel-indices routing table. */
     void rebuildShardRouting();
-    /** @return K for the current mode/store (see
+    /** @return K for the attached store (see
      *  FleetConfig::reactorLanes). */
     unsigned resolveLanes() const;
     /** @return the lane owning channel `index` (shard % laneCount_). */
@@ -367,7 +350,7 @@ class ChannelScheduler
     void scheduleEvent(Reactor &target, ReactorEventType type,
                        double vtime, std::size_t channel = 0,
                        uint64_t ticket = 0);
-    /** Barrier + lanes: drain the epoch's hydration through the lane
+    /** Lanes: drain the epoch's hydration through the lane
      *  reactors that hold a request, in parallel, and merge the
      *  staged outcomes in ascending-channel order. */
     void hydrateLanes(const std::vector<std::size_t> &selected);
@@ -380,16 +363,10 @@ class ChannelScheduler
     void onFuseEpoch(const ReactorEvent &event);
     void onEvictPressure(const ReactorEvent &event);
     void onScrubStep(const ReactorEvent &event);
-    /** Barrier mode: run the epoch's probe batch (one parallelFor,
-     *  exactly the pre-reactor submission shape) and schedule the
-     *  completion + epoch-tail events. */
-    void launchBarrierProbes();
-    /** Schedule FuseEpoch / EvictPressure / ScrubStep on the epoch
-     *  boundary (Pipelined mode). */
-    void scheduleEpochTail();
-    /** Pipelined mode: dispatch the highest-priority idle channel
-     *  whose round still fits in the epoch. @return dispatched */
-    bool tryDispatch(double vtime);
+    /** Run the epoch's probe batch (one parallelFor, exactly the
+     *  pre-reactor submission shape) and schedule the completion +
+     *  epoch-tail events. */
+    void launchProbes();
     ///@}
 
     FleetConfig config_;
@@ -401,10 +378,8 @@ class ChannelScheduler
     std::vector<uint64_t> probeCounts_;
     FleetAuthenticator fleetAuth_;
     std::unique_ptr<class ThreadPool> pool_;
-    std::unique_ptr<CompletionQueue> cq_; //!< probe completions
-                                          //!< (Pipelined mode)
     std::unique_ptr<Reactor> reactor_;
-    /** Lane reactors (store-backed Barrier mode, laneCount_ > 1);
+    /** Lane reactors (store-backed, laneCount_ > 1);
      *  lane k drains shards s ≡ k (mod laneCount_). */
     std::vector<std::unique_ptr<Reactor>> laneReactors_;
     unsigned laneCount_ = 1;
@@ -419,8 +394,6 @@ class ChannelScheduler
     /** @name Per-channel state machine + routing indexes. */
     ///@{
     std::vector<ChannelPhase> phase_;
-    std::vector<int64_t> lastDispatchTick_; //!< double-probe guard
-                                            //!< within an epoch
     /** name → channel index; first-added wins on duplicate names
      *  (mirrors the old first-match linear scan). */
     std::unordered_map<std::string, std::size_t> nameIndex_;
@@ -435,19 +408,7 @@ class ChannelScheduler
     double epochWall_ = 0.0;      //!< epoch start, virtual seconds
     double epochEnd_ = 0.0;       //!< epoch boundary, virtual seconds
     double elapsed_ = 0.0;        //!< total virtual time ticked
-    bool epochFused_ = false;
-    bool probesLaunched_ = false; //!< Barrier: batch already ran
-    std::vector<std::size_t> epochReady_; //!< Barrier: hydrated set
-    std::deque<ChannelProbe> pipeProbes_; //!< Pipelined result slots
-                                          //!< (deque: stable addrs
-                                          //!< for worker writes)
-    std::vector<std::size_t> channelSlot_; //!< channel → pipeProbes_
-                                           //!< slot of its in-flight
-                                           //!< probe
-    std::size_t epochSeeded_ = 0; //!< dispatch chains started at the
-                                  //!< epoch seed (idle-slot metric)
-    double epochBusyStart_ = 0.0; //!< reactor busySeconds() at epoch
-                                  //!< start (idle-time → scrub)
+    std::vector<std::size_t> epochReady_; //!< hydrated set
     ///@}
 
     /** @name Durable-store backing (lazy hydrate / LRU evict). */

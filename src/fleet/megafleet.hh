@@ -53,7 +53,6 @@
 
 #include "fingerprint/fusion.hh"
 #include "fleet/channel_scheduler.hh"
-#include "fleet/reactor.hh"
 #include "service/request.hh"
 #include "store/enrollment_db.hh"
 #include "telemetry/telemetry.hh"
@@ -88,16 +87,8 @@ struct MegaFleetConfig
     TelemetryConfig telemetry;      //!< observability (on by default)
     std::size_t instruments = 8;    //!< modeled iTDR pool size for the
                                     //!< instrument-schedule accounting
-    ReactorMode schedule = ReactorMode::Barrier; //!< instrument-pool
-                                    //!< scheduling model: Barrier
-                                    //!< stretches each wave of
-                                    //!< `instruments` probes to its
-                                    //!< slowest member; Pipelined
-                                    //!< hands a freed instrument to
-                                    //!< the next probe immediately.
-                                    //!< Pure accounting — probe math
-                                    //!< and verdict digests are
-                                    //!< identical in both modes
+                                    //!< (waves of `instruments` probes,
+                                    //!< each as long as its slowest)
 
     /**
      * Probe-batch selection. RiskWeighted (default) is hierarchical:
@@ -137,7 +128,6 @@ struct MegaFleetReport
                                        //!< any instant
     double instrumentUtilization = 0.0; //!< busy / capacity of the
                                         //!< modeled instrument pool
-                                        //!< under `config.schedule`
 };
 
 /** One fused bus verdict from a MegaFleet tick. */
@@ -201,8 +191,7 @@ class MegaFleet
     static std::string channelId(std::size_t index);
 
     /** @return modeled probe round duration of channel `index`,
-     *  seconds — a pure function of the fleet seed and the index
-     *  (heterogeneous, so scheduling modes actually differ). */
+     *  seconds — a pure function of the fleet seed and the index. */
     double probeDuration(std::size_t index) const;
 
     /** @name Request front end (the same protocol FleetService
@@ -261,7 +250,7 @@ class MegaFleet
     void reopenDb();
     MegaFleetVerdict fuse();
     /** Fold one tick's probe batch into the instrument-pool busy /
-     *  capacity account under the configured scheduling model. */
+     *  capacity account. */
     void accountInstrumentSchedule(
         const std::vector<std::size_t> &channels);
     /** Parse "ch<i>" into an index; kNoChannel when malformed or out

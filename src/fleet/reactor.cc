@@ -33,24 +33,9 @@ reactorEventName(ReactorEventType type)
     return "?";
 }
 
-const char *
-reactorModeName(ReactorMode mode)
+Reactor::Reactor(std::size_t instruments)
+    : instruments_(instruments), freeInstruments_(instruments)
 {
-    switch (mode) {
-    case ReactorMode::Barrier:
-        return "barrier";
-    case ReactorMode::Pipelined:
-        return "pipelined";
-    }
-    return "?";
-}
-
-Reactor::Reactor(ReactorConfig config, std::size_t instruments)
-    : config_(config), instruments_(instruments),
-      freeInstruments_(instruments)
-{
-    if (config_.epochSlots == 0)
-        divot_fatal("reactor epochSlots must be >= 1");
 }
 
 bool
@@ -66,12 +51,6 @@ uint64_t
 Reactor::schedule(ReactorEventType type, double vtime,
                   std::size_t channel, uint64_t ticket, uint64_t epoch)
 {
-    if (config_.maxQueue != 0 && heap_.size() >= config_.maxQueue) {
-        divot_fatal("reactor queue overflow (%zu events, bound %zu): "
-                    "queue depth is a pure function of (seed, config), "
-                    "so this is a config bug, not load",
-                    heap_.size(), config_.maxQueue);
-    }
     const uint64_t seq = nextSeq_++;
     HeapEntry entry;
     entry.vtime = vtime;

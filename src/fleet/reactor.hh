@@ -14,11 +14,11 @@
  * from the (single-threaded) consumption loop and from the public
  * tick()/reenroll entry points, so sequence numbers — and with them
  * the total event order — are a pure function of (seed, config).
- * Worker threads execute probe *computations* (via the util
- * CompletionQueue), but their results are consumed at the probe's
- * ProbeComplete event, whose position in the order was fixed at
- * dispatch. Fused verdicts, telemetry exports, and store IO-event
- * sequences (hence injected storage faults) are therefore
+ * Worker threads execute an epoch's probe *computations* in one
+ * parallel batch, but their results are consumed at each probe's
+ * ProbeComplete event, whose position in the order was fixed when the
+ * batch was launched. Fused verdicts, telemetry exports, and store
+ * IO-event sequences (hence injected storage faults) are therefore
  * bit-identical at any thread count.
  *
  * The reactor itself is policy-free: it owns the queue, the
@@ -84,37 +84,8 @@ enum class ChannelPhase : uint8_t
     Fenced     //!< PendingReenroll: no enrollment to probe against
 };
 
-/** How the scheduler maps rounds onto the event queue. */
-enum class ReactorMode : uint8_t
-{
-    Barrier,  //!< barrier-equivalent: all probes of a tick measure at
-              //!< the tick's wall-clock and complete at its end —
-              //!< bit-identical to the pre-reactor scheduler
-    Pipelined //!< a completion releases its instrument to the next
-              //!< ranked channel immediately; probes measure at their
-              //!< dispatch time, fusion runs on epoch boundaries
-};
-
-/** @return human-readable mode name. */
-const char *reactorModeName(ReactorMode mode);
-
-/** Reactor knobs (FleetConfig::reactor). */
-struct ReactorConfig
-{
-    ReactorMode mode = ReactorMode::Barrier;
-    std::size_t epochSlots = 1; //!< Pipelined: scheduler slots per
-                                //!< fusion epoch (>=1; one tick()
-                                //!< spans one epoch)
-    std::size_t maxQueue = 0;   //!< backstop bound on queued events
-                                //!< (0 = unbounded); exceeding it is
-                                //!< fatal — queue depth is a pure
-                                //!< function of (seed, config), so an
-                                //!< overflow is a config bug, never a
-                                //!< load spike
-};
-
 /** One queued event. Meaning of `channel`/`ticket`/`epoch` depends on
- *  the type (channel index, completion ticket, epoch ordinal). */
+ *  the type (channel index, result slot, epoch ordinal). */
 struct ReactorEvent
 {
     double vtime = 0.0;  //!< virtual wall-clock, seconds
@@ -131,14 +102,8 @@ struct ReactorEvent
 class Reactor
 {
   public:
-    /**
-     * @param config      queue bounds / mode knobs
-     * @param instruments size of the shared iTDR pool
-     */
-    Reactor(ReactorConfig config, std::size_t instruments);
-
-    /** @return configured knobs. */
-    const ReactorConfig &config() const { return config_; }
+    /** @param instruments size of the shared iTDR pool */
+    explicit Reactor(std::size_t instruments);
 
     /**
      * Queue an event. `vtime` may be in the past relative to popped
@@ -246,7 +211,6 @@ class Reactor
         ReactorEvent event;
     };
 
-    ReactorConfig config_;
     std::size_t instruments_;
     std::size_t freeInstruments_;
     std::vector<HeapEntry> heap_; //!< binary min-heap on (vtime, seq)

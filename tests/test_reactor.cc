@@ -1,119 +1,25 @@
 /**
  * @file
  * Tests for the event-driven fleet core (DESIGN.md §15): the
- * CompletionQueue ordering seam, the Reactor's deterministic
- * (vtime, seq) event order and instrument accounting, the Pipelined
- * scheduling mode's thread-count bit-identity (with and without fault
- * plans and a backing store), its utilization win over the Barrier
- * mode on a heterogeneous fleet, and the operator re-enrollment path
- * out of PendingReenroll under both policies — including a persist
- * that dies on an injected storage fault.
+ * Reactor's deterministic (vtime, seq) event order and instrument
+ * accounting, the channel phase machine returning to Idle between
+ * ticks, and the operator re-enrollment path out of PendingReenroll
+ * under both policies — including a persist that dies on an injected
+ * storage fault.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "fault/fault.hh"
 #include "fleet/channel_scheduler.hh"
 #include "fleet/reactor.hh"
 #include "store/enrollment_db.hh"
 #include "store/io.hh"
-#include "util/completion_queue.hh"
-#include "util/thread_pool.hh"
 
 namespace divot {
 namespace {
-
-// ---------------------------------------------------------------------
-// CompletionQueue
-// ---------------------------------------------------------------------
-
-TEST(CompletionQueue, TicketsAreSeriallyAssignedFromOne)
-{
-    ThreadPool pool(2);
-    CompletionQueue cq(pool);
-    std::vector<CompletionQueue::Ticket> tickets;
-    for (int i = 0; i < 4; ++i)
-        tickets.push_back(cq.submit([] {}));
-    for (std::size_t i = 0; i < tickets.size(); ++i)
-        EXPECT_EQ(tickets[i], i + 1);
-    EXPECT_EQ(cq.issued(), 4u);
-    cq.drainAll();
-    for (const CompletionQueue::Ticket t : tickets)
-        cq.wait(t);
-    EXPECT_EQ(cq.outstanding(), 0u);
-}
-
-TEST(CompletionQueue, CallerChoosesConsumptionOrder)
-{
-    // Tasks finish in scheduler order, but the consumer waits them in
-    // reverse: every wait must still return after exactly its own
-    // task, with its side effect visible.
-    ThreadPool pool(4);
-    CompletionQueue cq(pool);
-    std::vector<int> results(4, 0);
-    std::vector<CompletionQueue::Ticket> tickets;
-    for (int i = 0; i < 4; ++i) {
-        tickets.push_back(cq.submit([&results, i] {
-            // Earlier tickets sleep longer, so raw completion order
-            // inverts submission order.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(3 * (4 - i)));
-            results[static_cast<std::size_t>(i)] = i + 1;
-        }));
-    }
-    for (std::size_t i = tickets.size(); i-- > 0;) {
-        cq.wait(tickets[i]);
-        EXPECT_EQ(results[i], static_cast<int>(i) + 1);
-    }
-}
-
-TEST(CompletionQueue, ExceptionRethrownAtItsOwnWait)
-{
-    ThreadPool pool(2);
-    CompletionQueue cq(pool);
-    const CompletionQueue::Ticket ok = cq.submit([] {});
-    const CompletionQueue::Ticket bad = cq.submit(
-        [] { throw std::runtime_error("probe exploded"); });
-    EXPECT_NO_THROW(cq.wait(ok));
-    EXPECT_THROW(cq.wait(bad), std::runtime_error);
-}
-
-TEST(CompletionQueue, SubmitSerialRunsInOrderWithConsecutiveTickets)
-{
-    ThreadPool pool(4);
-    CompletionQueue cq(pool);
-    std::vector<int> order;
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 3; ++i)
-        tasks.push_back([&order, i] { order.push_back(i); });
-    const CompletionQueue::Ticket first = cq.submitSerial(
-        std::move(tasks));
-    EXPECT_EQ(first, 1u);
-    for (int i = 0; i < 3; ++i)
-        cq.wait(first + static_cast<CompletionQueue::Ticket>(i));
-    // One worker ran the batch back-to-back in submission order.
-    ASSERT_EQ(order.size(), 3u);
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(cq.submitSerial({}), 0u);
-}
-
-TEST(CompletionQueueDeathTest, WaitingAnUnknownTicketIsFatal)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    ThreadPool pool(1);
-    CompletionQueue cq(pool);
-    const CompletionQueue::Ticket t = cq.submit([] {});
-    cq.wait(t);
-    EXPECT_DEATH(cq.wait(t), "unknown ticket");
-}
 
 // ---------------------------------------------------------------------
 // Reactor
@@ -121,7 +27,7 @@ TEST(CompletionQueueDeathTest, WaitingAnUnknownTicketIsFatal)
 
 TEST(Reactor, PopsInVirtualTimeOrder)
 {
-    Reactor reactor(ReactorConfig{}, 1);
+    Reactor reactor(1);
     reactor.schedule(ReactorEventType::FuseEpoch, 3.0);
     reactor.schedule(ReactorEventType::ProbeComplete, 1.0);
     reactor.schedule(ReactorEventType::HydrateRequest, 2.0);
@@ -134,7 +40,7 @@ TEST(Reactor, PopsInVirtualTimeOrder)
 
 TEST(Reactor, TiesBreakOnScheduleOrder)
 {
-    Reactor reactor(ReactorConfig{}, 1);
+    Reactor reactor(1);
     for (std::size_t c = 0; c < 5; ++c)
         reactor.schedule(ReactorEventType::ProbeComplete, 1.0, c);
     for (std::size_t c = 0; c < 5; ++c) {
@@ -146,7 +52,7 @@ TEST(Reactor, TiesBreakOnScheduleOrder)
 
 TEST(Reactor, SequenceNumbersSpanQueuedAndImmediateEvents)
 {
-    Reactor reactor(ReactorConfig{}, 1);
+    Reactor reactor(1);
     const uint64_t first =
         reactor.schedule(ReactorEventType::HydrateRequest, 0.0);
     const ReactorEvent imm = reactor.dispatchImmediate(
@@ -168,7 +74,7 @@ TEST(Reactor, SequenceNumbersSpanQueuedAndImmediateEvents)
 
 TEST(Reactor, InstrumentAccountingDrivesUtilization)
 {
-    Reactor reactor(ReactorConfig{}, 2);
+    Reactor reactor(2);
     EXPECT_EQ(reactor.freeInstruments(), 2u);
     reactor.acquireInstrument();
     reactor.acquireInstrument();
@@ -185,28 +91,16 @@ TEST(Reactor, InstrumentAccountingDrivesUtilization)
     EXPECT_DOUBLE_EQ(reactor.utilization(0.0), 0.0);
 }
 
-TEST(ReactorDeathTest, BoundedQueueOverflowIsFatal)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    ReactorConfig cfg;
-    cfg.maxQueue = 2;
-    Reactor reactor(cfg, 1);
-    reactor.schedule(ReactorEventType::ScrubStep, 0.0);
-    reactor.schedule(ReactorEventType::ScrubStep, 0.0);
-    EXPECT_DEATH(reactor.schedule(ReactorEventType::ScrubStep, 0.0),
-                 "queue overflow");
-}
-
 TEST(ReactorDeathTest, InstrumentOverDispatchIsFatal)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    Reactor reactor(ReactorConfig{}, 1);
+    Reactor reactor(1);
     reactor.acquireInstrument();
     EXPECT_DEATH(reactor.acquireInstrument(), "over-dispatch");
 }
 
 // ---------------------------------------------------------------------
-// Pipelined scheduling mode
+// Channel phase machine
 // ---------------------------------------------------------------------
 
 BusChannelConfig
@@ -219,106 +113,20 @@ quickChannel(std::size_t index, double line_length = 0.1)
     return cfg;
 }
 
-ChannelScheduler
-makePipelinedFleet(std::size_t channels, unsigned threads,
-                   SchedulerPolicy policy, std::size_t instruments,
-                   std::size_t epoch_slots = 1, uint64_t seed = 42)
+TEST(ReactorFleet, ChannelPhasesReturnToIdleBetweenTicks)
 {
     FleetConfig cfg;
-    cfg.instruments = instruments;
-    cfg.policy = policy;
-    cfg.threads = threads;
-    cfg.reactor.mode = ReactorMode::Pipelined;
-    cfg.reactor.epochSlots = epoch_slots;
-    ChannelScheduler fleet(cfg, Rng(seed));
-    for (std::size_t c = 0; c < channels; ++c)
+    cfg.instruments = 2;
+    cfg.policy = SchedulerPolicy::RoundRobin;
+    cfg.threads = 2;
+    ChannelScheduler fleet(cfg, Rng(42));
+    for (std::size_t c = 0; c < 3; ++c)
         fleet.addChannel(quickChannel(c, 0.06 + 0.012 * c));
     fleet.calibrateAll();
-    return fleet;
-}
-
-/** Everything observable about a run, for bit-exact comparison. */
-struct FleetTrace
-{
-    std::vector<std::size_t> probeChannels;
-    std::vector<double> probeSimilarities;
-    std::vector<double> probeErrors;
-    std::vector<double> fusedSimilarities;
-    std::vector<bool> trusted;
-
-    bool operator==(const FleetTrace &) const = default;
-};
-
-FleetTrace
-runFleet(ChannelScheduler &fleet, std::size_t ticks,
-         FaultInjector *injector = nullptr, std::size_t fault_wire = 0)
-{
-    if (injector != nullptr)
-        fleet.channel(fault_wire).attachFaultInjector(injector);
-    FleetTrace trace;
-    for (std::size_t t = 0; t < ticks; ++t) {
-        const FleetRound round = fleet.tick();
-        for (const ChannelProbe &probe : round.probes) {
-            trace.probeChannels.push_back(probe.channel);
-            trace.probeSimilarities.push_back(probe.verdict.similarity);
-            trace.probeErrors.push_back(probe.verdict.peakError);
-        }
-        trace.fusedSimilarities.push_back(round.fused.fusedSimilarity);
-        trace.trusted.push_back(round.fused.busTrusted);
-    }
-    return trace;
-}
-
-TEST(PipelinedFleet, FusesToTrustedBusAndKeepsInstrumentsBusy)
-{
-    ChannelScheduler fleet = makePipelinedFleet(
-        6, 1, SchedulerPolicy::RoundRobin, 2, 2);
-    const FleetRound last = fleet.run(6);
-    EXPECT_TRUE(last.fused.busTrusted);
-    EXPECT_GT(last.fused.fusedSimilarity,
-              fleet.config().similarityThreshold);
-    // A freed instrument is re-dispatched mid-epoch, so an epoch runs
-    // more probes than the pool could hold at once.
-    EXPECT_GT(last.probes.size(), fleet.config().instruments);
-    // Every probe was a real dispatch chain through the reactor.
-    EXPECT_EQ(fleet.reactor().consumed(ReactorEventType::ProbeComplete),
-              fleet.telemetry().registry().counterValue("fleet.probes"));
-    EXPECT_GT(fleet.instrumentUtilization(), 0.0);
-}
-
-TEST(PipelinedFleet, BitIdenticalAcrossThreadCounts)
-{
-    for (const SchedulerPolicy policy :
-         {SchedulerPolicy::RoundRobin, SchedulerPolicy::RiskWeighted}) {
-        ChannelScheduler f1 = makePipelinedFleet(6, 1, policy, 3, 2);
-        ChannelScheduler f2 = makePipelinedFleet(6, 2, policy, 3, 2);
-        ChannelScheduler f8 = makePipelinedFleet(6, 8, policy, 3, 2);
-        const FleetTrace t1 = runFleet(f1, 10);
-        const FleetTrace t2 = runFleet(f2, 10);
-        const FleetTrace t8 = runFleet(f8, 10);
-        EXPECT_EQ(t1, t2) << schedulerPolicyName(policy);
-        EXPECT_EQ(t1, t8) << schedulerPolicyName(policy);
-        // The stable telemetry export — which embeds the full event
-        // accounting — must also be byte-identical.
-        EXPECT_EQ(f1.telemetry().exportJson(),
-                  f8.telemetry().exportJson())
-            << schedulerPolicyName(policy);
-    }
-}
-
-TEST(PipelinedFleet, BitIdenticalWithFaultPlanActive)
-{
-    const FaultPlan plan =
-        FaultPlan{}.emiBurst(2, 2, 2.5e-3, 25e6).budgetOverrun(6, 3, 2.0);
-    for (const SchedulerPolicy policy :
-         {SchedulerPolicy::RoundRobin, SchedulerPolicy::RiskWeighted}) {
-        ChannelScheduler f1 = makePipelinedFleet(4, 1, policy, 2, 2);
-        ChannelScheduler f8 = makePipelinedFleet(4, 8, policy, 2, 2);
-        FaultInjector inj1(plan, Rng(7).forkStable(1));
-        FaultInjector inj8(plan, Rng(7).forkStable(1));
-        const FleetTrace t1 = runFleet(f1, 12, &inj1, 1);
-        const FleetTrace t8 = runFleet(f8, 12, &inj8, 1);
-        EXPECT_EQ(t1, t8) << schedulerPolicyName(policy);
+    for (int t = 0; t < 4; ++t) {
+        fleet.tick();
+        for (std::size_t c = 0; c < 3; ++c)
+            EXPECT_EQ(fleet.channelPhase(c), ChannelPhase::Idle);
     }
 }
 
@@ -345,76 +153,6 @@ dbConfig(const std::string &dir)
     cfg.shards = 4;
     cfg.overlayFlushRecords = 2;
     return cfg;
-}
-
-TEST(PipelinedFleet, BitIdenticalAcrossThreadCountsWithStore)
-{
-    // Store IO (hydration, eviction, scrub) happens only while the
-    // single-threaded loop consumes events, so the IO-event sequence —
-    // and with it every verdict — is thread-count invariant even with
-    // an eviction-churning budget.
-    FleetTrace traces[2];
-    std::string exports[2];
-    const unsigned threads[2] = {1, 4};
-    for (int i = 0; i < 2; ++i) {
-        ChannelScheduler fleet = makePipelinedFleet(
-            4, threads[i], SchedulerPolicy::RoundRobin, 2, 2);
-        const std::string dir = freshDbDir(
-            i == 0 ? "reactor_store_t1" : "reactor_store_t4");
-        store::EnrollmentDb db(dbConfig(dir));
-        ASSERT_TRUE(db.open());
-        fleet.attachStore(&db, 1); // evict everything unpinned
-        traces[i] = runFleet(fleet, 8);
-        exports[i] = fleet.telemetry().exportJson();
-    }
-    EXPECT_EQ(traces[0], traces[1]);
-    EXPECT_EQ(exports[0], exports[1]);
-}
-
-TEST(PipelinedFleet, OutUtilizesBarrierOnHeterogeneousFleet)
-{
-    // One slow wire (long line) among five fast ones, pool of two.
-    // The barrier slot spans the slowest channel's round, so every
-    // barrier tick strands most of both instruments' time; Pipelined
-    // back-fills a freed instrument with fast rounds, so its pool
-    // must be strictly busier.
-    auto build = [](ReactorMode mode) {
-        FleetConfig cfg;
-        cfg.instruments = 2;
-        cfg.policy = SchedulerPolicy::RoundRobin;
-        cfg.threads = 1;
-        cfg.reactor.mode = mode;
-        ChannelScheduler fleet(cfg, Rng(42));
-        for (std::size_t c = 0; c < 5; ++c)
-            fleet.addChannel(quickChannel(c, 0.05));
-        fleet.addChannel(quickChannel(5, 0.25));
-        fleet.calibrateAll();
-        return fleet;
-    };
-    ChannelScheduler barrier = build(ReactorMode::Barrier);
-    ChannelScheduler pipelined = build(ReactorMode::Pipelined);
-    barrier.run(8);
-    pipelined.run(8);
-    EXPECT_GT(pipelined.instrumentUtilization(),
-              barrier.instrumentUtilization());
-    // And it converts the extra capacity into real coverage.
-    uint64_t barrier_probes = 0, pipelined_probes = 0;
-    for (std::size_t c = 0; c < 6; ++c) {
-        barrier_probes += barrier.probeCount(c);
-        pipelined_probes += pipelined.probeCount(c);
-    }
-    EXPECT_GT(pipelined_probes, barrier_probes);
-}
-
-TEST(PipelinedFleet, ChannelPhasesReturnToIdleBetweenTicks)
-{
-    ChannelScheduler fleet = makePipelinedFleet(
-        3, 2, SchedulerPolicy::RoundRobin, 2);
-    for (int t = 0; t < 4; ++t) {
-        fleet.tick();
-        for (std::size_t c = 0; c < 3; ++c)
-            EXPECT_EQ(fleet.channelPhase(c), ChannelPhase::Idle);
-    }
 }
 
 // ---------------------------------------------------------------------

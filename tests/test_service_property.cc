@@ -3,9 +3,9 @@
  * Request-interleaving property tests: every generated case drives a
  * seeded request schedule (mixed kinds, duplicate targets, unknown
  * names) through a FleetService while the underlying fleet runs its
- * own lifecycle — Barrier and Pipelined reactors, instrument fault
- * plans, store backing with an eviction-churning budget, and storage
- * fault plans all appear across the case family. Invariants per case:
+ * own lifecycle — both scheduling policies, instrument fault plans,
+ * store backing with an eviction-churning budget, and storage fault
+ * plans all appear across the case family. Invariants per case:
  *
  *  - completeness: every submitted request answers exactly once;
  *  - determinism: a 1-thread and a pooled run of the same case emit
