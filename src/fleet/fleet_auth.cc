@@ -10,7 +10,8 @@ FleetAuthenticator::FleetAuthenticator(FusionConfig fusion,
     : fusion_(fusion), similarityThreshold_(similarity_threshold),
       tamperWireVotes_(tamper_wire_votes == 0 ? 1 : tamper_wire_votes)
 {
-    if (similarityThreshold_ <= 0.0 || similarityThreshold_ >= 1.0)
+    // Written as the negation of the valid range so NaN fails it.
+    if (!(similarityThreshold_ > 0.0 && similarityThreshold_ < 1.0))
         divot_fatal("fleet similarity threshold must be in (0, 1), "
                     "got %g",
                     similarityThreshold_);

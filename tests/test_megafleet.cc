@@ -3,12 +3,14 @@
  * Tests for MegaFleet, the bounded-memory fleet service over the
  * sharded EnrollmentDb: synthetic-channel determinism, thread-count
  * verdict identity (with and without storage faults), crash-reopen
- * enrollment, and the no-junk guarantee when shard images are
- * destroyed under a running fleet.
+ * enrollment, the no-junk guarantee when shard images are
+ * destroyed under a running fleet, and the constructor's rejection
+ * of NaN and infinite score bars.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,27 @@ smallConfig(const std::string &dir, unsigned threads)
     cfg.store.overlayFlushRecords = 8;
     cfg.telemetry.enabled = false;
     return cfg;
+}
+
+TEST(MegaFleetDeathTest, NonFiniteOrOutOfRangeBarsAreFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // NaN fails every comparison, so each bar must reject it (and
+    // ±inf) by name instead of fusing every tick to "not
+    // authenticated".
+    const std::string dir = freshDir("megafleet_bad_bars");
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        MegaFleetConfig cfg = smallConfig(dir, 1);
+        cfg.similarityThreshold = bad;
+        EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "similarityThreshold")
+            << bad;
+        cfg = smallConfig(dir, 1);
+        cfg.noiseSigma = bad;
+        EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "noiseSigma") << bad;
+        cfg = smallConfig(dir, 1);
+        cfg.tamperThreshold = bad;
+        EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "tamperThreshold") << bad;
+    }
 }
 
 TEST(MegaFleet, EnrollsAndMonitorsClean)
