@@ -30,6 +30,29 @@ GenuineImpostorStudy::GenuineImpostorStudy(StudyConfig config, Rng rng)
                     config_.lines);
     if (config_.wires == 0)
         divot_fatal("study needs at least 1 wire per bus");
+    // Written as negations of the valid ranges, so NaN fails them too.
+    if (!(std::isfinite(config_.lineLength) && config_.lineLength > 0.0))
+        divot_fatal("study lineLength must be finite and > 0 (got %g)",
+                    config_.lineLength);
+    if (!(std::isfinite(config_.segmentLength) &&
+          config_.segmentLength > 0.0)) {
+        divot_fatal("study segmentLength must be finite and > 0 (got %g)",
+                    config_.segmentLength);
+    }
+    if (!(std::isfinite(config_.loadImpedanceSigma) &&
+          config_.loadImpedanceSigma >= 0.0)) {
+        divot_fatal("study loadImpedanceSigma must be finite and >= 0 "
+                    "(got %g)",
+                    config_.loadImpedanceSigma);
+    }
+    // A lane enrolls at its last enrollment measurement, and the ROC
+    // needs both score populations.
+    if (config_.enrollReps == 0)
+        divot_fatal("study enrollReps must be at least 1");
+    if (config_.genuinePerLine == 0)
+        divot_fatal("study genuinePerLine must be at least 1");
+    if (config_.impostorPerPair == 0)
+        divot_fatal("study impostorPerPair must be at least 1");
 
     ManufacturingProcess fab(config_.process, rng_.fork(0x2001));
     Rng load_rng = rng_.fork(0x2002);
@@ -110,6 +133,7 @@ GenuineImpostorStudy::run()
         std::unique_ptr<Environment> calibEnv;
         std::unique_ptr<Environment> campaignEnv;
         std::unique_ptr<NoiseSource> emi;
+        std::vector<IipMeasurement> enrollMeasurements;
         Fingerprint enrolled;
         std::vector<double> genuineScores;
         std::vector<double> impostorScores;
@@ -133,6 +157,7 @@ GenuineImpostorStudy::run()
                 config_.environment.emiAmplitude,
                 config_.environment.emiFrequencyHz, 0.3);
         }
+        lane.enrollMeasurements.reserve(reps_e);
         lane.genuineScores.resize(reps_g);
         lane.impostorScores.resize((nl - 1) * reps_i);
         if (config_.telemetry != nullptr) {
@@ -141,67 +166,66 @@ GenuineImpostorStudy::run()
         }
     }
 
+    // Each lane is a chain of measurements that must run in order, but
+    // not on one thread: the pool hands out single measurements, so
+    // every worker stays busy however the lane count divides among
+    // them.
     ThreadPool pool(config_.threads);
     pool.attachTelemetry(config_.telemetry, "study.pool");
 
-    // --- enrollment at reference conditions (calibration time) ---
-    pool.parallelFor(lane_count, [&](std::size_t idx) {
+    // --- enrollment at reference conditions (calibration time); a
+    //     lane enrolls at its last measurement ---
+    pool.parallelChains(lane_count, reps_e, [&](std::size_t idx,
+                                                std::size_t r) {
         Lane &lane = lanes[idx];
-        std::vector<IipMeasurement> reps;
-        reps.reserve(reps_e);
-        for (std::size_t r = 0; r < reps_e; ++r) {
-            const double wall =
-                slot * static_cast<double>(enroll_index(idx, r));
-            TransmissionLine snap =
-                lane.calibEnv->snapshot(lines_[idx], wall);
-            IipMeasurement m = lane.itdr->measure(snap, nullptr);
-            lane.busCycles += m.busCycles;
-            reps.push_back(std::move(m));
+        const double wall = slot * static_cast<double>(enroll_index(idx, r));
+        TransmissionLine snap = lane.calibEnv->snapshot(lines_[idx], wall);
+        IipMeasurement m = lane.itdr->measure(snap, nullptr);
+        lane.busCycles += m.busCycles;
+        lane.enrollMeasurements.push_back(std::move(m));
+        if (r + 1 == reps_e) {
+            lane.enrolled = Fingerprint::enroll(
+                lane.enrollMeasurements, nominal_, lines_[idx].name());
+            lane.enrollMeasurements = {};
         }
-        lane.enrolled =
-            Fingerprint::enroll(reps, nominal_, lines_[idx].name());
     });
 
-    // --- genuine and impostor measurements, one lane per task; the
+    // --- genuine, then impostor measurements of each lane; the
     //     barrier above guarantees every enrollment is readable ---
-    pool.parallelFor(lane_count, [&](std::size_t idx) {
-        Lane &lane = lanes[idx];
-        const std::size_t l = idx / nw;
-        const std::size_t w = idx % nw;
+    pool.parallelChains(
+        lane_count, reps_g + (nl - 1) * reps_i,
+        [&](std::size_t idx, std::size_t step) {
+            Lane &lane = lanes[idx];
+            const std::size_t l = idx / nw;
+            const std::size_t w = idx % nw;
 
-        auto measure_at = [&](std::size_t k) {
-            const double wall = slot * static_cast<double>(k);
-            TransmissionLine snap =
-                lane.campaignEnv->snapshot(lines_[idx], wall);
-            IipMeasurement m = lane.itdr->measure(snap, lane.emi.get());
-            lane.busCycles += m.busCycles;
-            return m;
-        };
+            auto measure_at = [&](std::size_t k) {
+                const double wall = slot * static_cast<double>(k);
+                TransmissionLine snap =
+                    lane.campaignEnv->snapshot(lines_[idx], wall);
+                IipMeasurement m =
+                    lane.itdr->measure(snap, lane.emi.get());
+                lane.busCycles += m.busCycles;
+                return Fingerprint::fromMeasurement(m, nominal_);
+            };
 
-        // Genuine: re-measure this bus under the campaign environment
-        // and compare to its own enrollment.
-        for (std::size_t g = 0; g < reps_g; ++g) {
-            const Fingerprint fp = Fingerprint::fromMeasurement(
-                measure_at(genuine_index(l, g, w)), nominal_);
-            lane.genuineScores[g] = similarity(lane.enrolled, fp);
-        }
-
-        // Impostor: measurements of this bus scored against the
-        // enrollment of every other bus b.
-        std::size_t pair_rank = 0;
-        for (std::size_t b = 0; b < nl; ++b) {
-            if (b == l)
-                continue;
-            for (std::size_t i = 0; i < reps_i; ++i) {
-                const Fingerprint fp = Fingerprint::fromMeasurement(
-                    measure_at(impostor_index(l, pair_rank, i, w)),
-                    nominal_);
-                lane.impostorScores[pair_rank * reps_i + i] =
-                    similarity(lanes[b * nw + w].enrolled, fp);
+            if (step < reps_g) {
+                // Genuine: re-measure this bus under the campaign
+                // environment and compare to its own enrollment.
+                lane.genuineScores[step] = similarity(
+                    lane.enrolled, measure_at(genuine_index(l, step, w)));
+                return;
             }
-            ++pair_rank;
-        }
-    });
+            // Impostor: a measurement of this bus scored against the
+            // enrollment of bus b, every other bus in ascending order.
+            const std::size_t k = step - reps_g;
+            const std::size_t pair_rank = k / reps_i;
+            const std::size_t i = k % reps_i;
+            const std::size_t b = pair_rank < l ? pair_rank : pair_rank + 1;
+            lane.impostorScores[k] =
+                similarity(lanes[b * nw + w].enrolled,
+                           measure_at(impostor_index(l, pair_rank, i, w)));
+        });
 
     // --- fuse per-wire scores and analyze, in canonical order ---
     StudyResult result;

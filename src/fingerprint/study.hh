@@ -85,12 +85,17 @@ struct StudyResult
  *
  * The campaign fans out across a util::ThreadPool with a determinism
  * contract: results are bit-identical for a fixed seed at any thread
- * count. Three mechanisms make execution order irrelevant:
+ * count. A lane's measurements run in order, one at a time, on any
+ * worker (ThreadPool::parallelChains): a free worker takes the next
+ * measurement of the lane with the most left, so every worker stays
+ * busy however the lanes divide among them. Three mechanisms make
+ * the executing thread irrelevant:
  *
- *  1. Every measurement lane — one (phase, line, wire) instrument
- *     sequence — seeds its iTDR and environment from
- *     Rng::forkStable, a pure function of the master seed and the
- *     lane indices, never from shared-stream draws.
+ *  1. Every measurement lane — one (line, wire) instrument sequence,
+ *     enrollment then genuine then impostor — seeds its iTDR and
+ *     environments from Rng::forkStable, a pure function of the
+ *     master seed and the lane index, never from shared-stream
+ *     draws, and owns them and its result slots.
  *  2. Measurement wall-clock times (which drive the vibration chirp
  *     and temperature draws) follow a precomputed schedule: slot k of
  *     the canonical measurement enumeration starts at

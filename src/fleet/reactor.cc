@@ -49,7 +49,7 @@ Reactor::heapAfter(const HeapEntry &a, const HeapEntry &b)
 
 uint64_t
 Reactor::schedule(ReactorEventType type, double vtime,
-                  std::size_t channel, uint64_t ticket, uint64_t epoch)
+                  std::size_t channel, uint64_t ticket)
 {
     const uint64_t seq = nextSeq_++;
     HeapEntry entry;
@@ -60,7 +60,6 @@ Reactor::schedule(ReactorEventType type, double vtime,
     entry.event.type = type;
     entry.event.channel = channel;
     entry.event.ticket = ticket;
-    entry.event.epoch = epoch;
     heap_.push_back(entry);
     std::push_heap(heap_.begin(), heap_.end(), heapAfter);
     highWater_ = std::max(highWater_, heap_.size());

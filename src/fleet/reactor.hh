@@ -84,8 +84,8 @@ enum class ChannelPhase : uint8_t
     Fenced     //!< PendingReenroll: no enrollment to probe against
 };
 
-/** One queued event. Meaning of `channel`/`ticket`/`epoch` depends on
- *  the type (channel index, result slot, epoch ordinal). */
+/** One queued event. Meaning of `channel`/`ticket` depends on the
+ *  type (channel index, result slot). */
 struct ReactorEvent
 {
     double vtime = 0.0;  //!< virtual wall-clock, seconds
@@ -93,7 +93,6 @@ struct ReactorEvent
     ReactorEventType type = ReactorEventType::HydrateRequest;
     std::size_t channel = 0;
     uint64_t ticket = 0;
-    uint64_t epoch = 0;
 };
 
 /**
@@ -113,8 +112,7 @@ class Reactor
      * @return the event's sequence number
      */
     uint64_t schedule(ReactorEventType type, double vtime,
-                      std::size_t channel = 0, uint64_t ticket = 0,
-                      uint64_t epoch = 0);
+                      std::size_t channel = 0, uint64_t ticket = 0);
 
     /** @return whether any event is queued. */
     bool empty() const { return heap_.empty(); }

@@ -365,6 +365,10 @@ avx2TilePeriodic(const double *period, std::size_t levels, double *out,
  *    open. They are collected per chunk and evaluated after its vector
  *    pass, so the pass makes no call.
  *
+ * A length of 2 mod 4 leaves one pair after the last whole vector; it
+ * settles by the same rules in a masked vector, so it reaches the
+ * exact expression only where a bound leaves it open.
+ *
  * The error argument needs every product normal: with uv from
  * Rng::polarPairs (|x| = 0 or >= 2^-52, s in [2^-104, 1)), t lies in
  * [1e-247, 2e200] for sigma in [1e-100, 1e100]; any other sigma takes
@@ -383,6 +387,39 @@ avx2PolarStrobeHits(const double *uv, const double *ref, std::size_t n,
     const __m256d two_var = _mm256_set1_pd(2.0 * sigma * sigma);
     const __m256d below = _mm256_set1_pd(1.0 - 1e-9);
     const __m256d above = _mm256_set1_pd(1.0 + 1e-9);
+    // Lanes u0 v0 u1 v1: two pairs, each lane's s from its pair. Sets
+    // the movemask bits of the lanes that hit and of those left open.
+    auto settle = [&](__m256d x, __m256d r, int &hit, int &open) {
+        const __m256d d = _mm256_sub_pd(vbase, r);
+        const __m256d sq = _mm256_mul_pd(x, x);
+        const __m256d s = _mm256_add_pd(sq, _mm256_permute_pd(sq, 0x5));
+        // Sign bit set where d and x are nonzero with opposite signs
+        // (a NaN d fails the d != 0 test).
+        const __m256d opposite = _mm256_and_pd(
+            _mm256_xor_pd(d, x),
+            _mm256_and_pd(_mm256_cmp_pd(d, zero, _CMP_NEQ_OQ),
+                          _mm256_cmp_pd(x, zero, _CMP_NEQ_OQ)));
+        const __m256d a = _mm256_mul_pd(_mm256_mul_pd(d, d), s);
+        const __m256d t = _mm256_mul_pd(_mm256_mul_pd(two_var, sq),
+                                        _mm256_sub_pd(one, s));
+        const __m256d noise_wins =
+            _mm256_cmp_pd(a, _mm256_mul_pd(t, below), _CMP_LT_OQ);
+        const __m256d d_wins = _mm256_cmp_pd(
+            _mm256_mul_pd(a, s), _mm256_mul_pd(t, above), _CMP_GT_OQ);
+        // The deciding sign: x's where d = +-0 or the noise wins, else
+        // d's.
+        const __m256d decider = _mm256_blendv_pd(
+            d, x,
+            _mm256_or_pd(_mm256_cmp_pd(d, zero, _CMP_EQ_OQ),
+                         _mm256_and_pd(opposite, noise_wins)));
+        hit = _mm256_movemask_pd(_mm256_cmp_pd(decider, zero, _CMP_GT_OQ));
+        open = _mm256_movemask_pd(
+            _mm256_andnot_pd(_mm256_or_pd(noise_wins, d_wins), opposite));
+    };
+    auto exact = [&](std::size_t l) {
+        const double m = polarScale(uv[l & ~std::size_t{1}], uv[l | 1]);
+        return base - ref[l] + sigma * (uv[l] * m) > 0.0 ? 1u : 0u;
+    };
     constexpr std::size_t kChunk = 256;
     std::size_t open_lanes[kChunk];
     const std::size_t vector_end = n & ~std::size_t{3};
@@ -392,52 +429,36 @@ avx2PolarStrobeHits(const double *uv, const double *ref, std::size_t n,
         const std::size_t chunk_end = std::min(vector_end, j + kChunk);
         std::size_t opens = 0;
         for (; j < chunk_end; j += 4) {
-            // Lanes u0 v0 u1 v1: two pairs, each lane's s from its pair.
-            const __m256d x = _mm256_loadu_pd(uv + j);
-            const __m256d d =
-                _mm256_sub_pd(vbase, _mm256_loadu_pd(ref + j));
-            const __m256d sq = _mm256_mul_pd(x, x);
-            const __m256d s =
-                _mm256_add_pd(sq, _mm256_permute_pd(sq, 0x5));
-            // Sign bit set where d and x are nonzero with opposite
-            // signs (a NaN d fails the d != 0 test).
-            const __m256d opposite = _mm256_and_pd(
-                _mm256_xor_pd(d, x),
-                _mm256_and_pd(_mm256_cmp_pd(d, zero, _CMP_NEQ_OQ),
-                              _mm256_cmp_pd(x, zero, _CMP_NEQ_OQ)));
-            const __m256d a = _mm256_mul_pd(_mm256_mul_pd(d, d), s);
-            const __m256d t = _mm256_mul_pd(_mm256_mul_pd(two_var, sq),
-                                            _mm256_sub_pd(one, s));
-            const __m256d noise_wins =
-                _mm256_cmp_pd(a, _mm256_mul_pd(t, below), _CMP_LT_OQ);
-            const __m256d d_wins =
-                _mm256_cmp_pd(_mm256_mul_pd(a, s),
-                              _mm256_mul_pd(t, above), _CMP_GT_OQ);
-            // The deciding sign: x's where d = +-0 or the noise wins,
-            // else d's.
-            const __m256d decider = _mm256_blendv_pd(
-                d, x,
-                _mm256_or_pd(_mm256_cmp_pd(d, zero, _CMP_EQ_OQ),
-                             _mm256_and_pd(opposite, noise_wins)));
-            const int hit = _mm256_movemask_pd(
-                _mm256_cmp_pd(decider, zero, _CMP_GT_OQ));
-            const int open = _mm256_movemask_pd(_mm256_andnot_pd(
-                _mm256_or_pd(noise_wins, d_wins), opposite));
+            int hit = 0;
+            int open = 0;
+            settle(_mm256_loadu_pd(uv + j), _mm256_loadu_pd(ref + j), hit,
+                   open);
             hits += static_cast<unsigned>(__builtin_popcount(hit & ~open));
             for (int lanes = open; lanes != 0; lanes &= lanes - 1) {
                 open_lanes[opens++] = j + static_cast<std::size_t>(
                     __builtin_ctz(static_cast<unsigned>(lanes)));
             }
         }
-        for (std::size_t o = 0; o < opens; ++o) {
-            const std::size_t l = open_lanes[o];
-            const double m = polarScale(uv[l & ~std::size_t{1}],
-                                        uv[l | 1]);
-            hits += base - ref[l] + sigma * (uv[l] * m) > 0.0 ? 1u : 0u;
-        }
+        for (std::size_t o = 0; o < opens; ++o)
+            hits += exact(open_lanes[o]);
     }
-    return hits + scalarStrobeKernels()->polarStrobeHits(
-        uv + j, ref + j, n - j, base, sigma);
+    if (j < n) {
+        // n is even, so one pair is left. Settle it in lanes 0 and 1 of
+        // a masked vector: lanes 2 and 3 load zeros (their memory is not
+        // touched) and leave both masks.
+        const __m256i pair = _mm256_setr_epi64x(-1, -1, 0, 0);
+        int hit = 0;
+        int open = 0;
+        settle(_mm256_maskload_pd(uv + j, pair),
+               _mm256_maskload_pd(ref + j, pair), hit, open);
+        hit &= 0x3;
+        open &= 0x3;
+        hits += static_cast<unsigned>(__builtin_popcount(hit & ~open));
+        for (int lanes = open; lanes != 0; lanes &= lanes - 1)
+            hits += exact(j + static_cast<std::size_t>(__builtin_ctz(
+                                  static_cast<unsigned>(lanes))));
+    }
+    return hits;
 }
 
 const StrobeKernels kAvx2Kernels = {

@@ -24,8 +24,9 @@ std::vector<double>
 ManufacturingProcess::drawImpedanceProfile(double length,
                                            double segment_length)
 {
-    if (length <= 0.0 || segment_length <= 0.0 ||
-        segment_length > length) {
+    // The negation of the valid range, so NaN and infinities fail it.
+    if (!(std::isfinite(length) && std::isfinite(segment_length) &&
+          segment_length > 0.0 && segment_length <= length)) {
         divot_fatal("bad line geometry: length=%g segment=%g",
                     length, segment_length);
     }

@@ -255,4 +255,115 @@ ThreadPool::parallelFor(std::size_t n,
         std::rethrow_exception(error);
 }
 
+namespace {
+
+/** One parallelChains call's claim table; every field is guarded by
+ *  `mutex`, whose hand-off orders a chain's steps across threads. */
+struct ChainTable
+{
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    ChainTable(std::size_t chains, std::size_t stepCount)
+        : steps(stepCount), next(chains, 0), claimed(chains, 0)
+    {
+    }
+
+    const std::size_t steps;
+    std::vector<std::size_t> next;  //!< next step per chain; `steps`
+                                    //!< once finished or failed
+    std::vector<char> claimed;      //!< a step of the chain is running
+    std::size_t running = 0;        //!< claimed steps
+    std::exception_ptr firstError;
+    std::mutex mutex;
+    std::condition_variable released;
+
+    /** The unclaimed chain with the most steps left (ties: `last`,
+     *  then the lowest index), or kNone. */
+    std::size_t pick(std::size_t last) const
+    {
+        std::size_t best = kNone;
+        std::size_t bestLeft = 0;
+        for (std::size_t c = 0; c < next.size(); ++c) {
+            const std::size_t left = steps - next[c];
+            if (claimed[c] != 0 || left == 0)
+                continue;
+            if (left > bestLeft || (left == bestLeft && c == last)) {
+                best = c;
+                bestLeft = left;
+            }
+        }
+        return best;
+    }
+
+    /** One worker: claim, run and release steps until no chain has
+     *  one left and none is running. */
+    void work(const std::function<void(std::size_t, std::size_t)> &body)
+    {
+        std::size_t last = kNone;
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            std::size_t c = kNone;
+            released.wait(lock, [&] {
+                c = pick(last);
+                return c != kNone || running == 0;
+            });
+            if (c == kNone)
+                return;
+            const std::size_t s = next[c];
+            claimed[c] = 1;
+            ++running;
+            lock.unlock();
+            std::exception_ptr error;
+            try {
+                body(c, s);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            lock.lock();
+            claimed[c] = 0;
+            --running;
+            next[c] = error ? steps : s + 1;
+            if (error && !firstError)
+                firstError = std::move(error);
+            last = c;
+            // Wakes workers parked at the tail of the call: the chain
+            // is claimable again, or everything has finished.
+            released.notify_all();
+        }
+    }
+};
+
+} // namespace
+
+void
+ThreadPool::parallelChains(
+    std::size_t chains, std::size_t steps,
+    const std::function<void(std::size_t, std::size_t)> &body)
+{
+    if (chains == 0 || steps == 0)
+        return;
+    if (threadCount_ <= 1 || chains == 1) {
+        // Serial reference path: each chain to completion, in order.
+        std::exception_ptr firstError;
+        for (std::size_t c = 0; c < chains; ++c) {
+            try {
+                for (std::size_t s = 0; s < steps; ++s)
+                    body(c, s);
+            } catch (...) {
+                if (!firstError)
+                    firstError = std::current_exception();
+            }
+        }
+        if (firstError)
+            std::rethrow_exception(firstError);
+        return;
+    }
+
+    ChainTable table(chains, steps);
+    parallelFor(std::min<std::size_t>(threadCount_, chains),
+                [&](std::size_t) { table.work(body); });
+    if (table.firstError)
+        std::rethrow_exception(table.firstError);
+}
+
 } // namespace divot

@@ -7,10 +7,11 @@
  * wall-clock slot is precomputed, so the pool is deliberately simple:
  * a work queue drained by persistent workers plus a parallelFor that
  * fans indexed tasks out, works on them from the calling thread too,
- * and returns when they are complete. Determinism is the caller's
- * contract — tasks must write disjoint state and must not share
- * random streams — the pool itself adds no ordering guarantees
- * beyond completion.
+ * and returns when they are complete, and a parallelChains that runs
+ * chains of ordered steps on one such fan-out. Determinism is the
+ * caller's contract — tasks must write disjoint state and must not
+ * share random streams — the pool itself adds no ordering guarantees
+ * beyond completion and the step order within a chain.
  */
 
 #ifndef DIVOT_UTIL_THREAD_POOL_HH
@@ -101,6 +102,32 @@ class ThreadPool
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
+
+    /**
+     * Run body(c, s) for every chain c < chains and step s < steps,
+     * where each chain's steps run in order and one at a time: step s
+     * of a chain starts only after its step s - 1 has finished, on
+     * whichever thread claims it. Chains are independent of each
+     * other; a chain's steps may share state, which the claim mutex
+     * hands from thread to thread.
+     *
+     * A free worker takes the next step of the unclaimed chain with
+     * the most steps left; ties go to the chain it just ran, then to
+     * the lowest index. So every worker stays busy while at least
+     * threadCount() chains are unfinished, and the chains finish
+     * together instead of in rounds of whole chains. The workers are
+     * min(threadCount(), chains) loops of one parallelFor call.
+     *
+     * With a single worker, or chains == 1, the chains run inline on
+     * the calling thread, each to completion, in chain order: the
+     * serial reference. On every path a chain whose step throws runs
+     * no further steps while the other chains run to completion; the
+     * first exception is rethrown once every claimed step has
+     * finished. Zero chains or zero steps is a no-op.
+     */
+    void parallelChains(
+        std::size_t chains, std::size_t steps,
+        const std::function<void(std::size_t, std::size_t)> &body);
 
     /**
      * Attach a telemetry sink under `prefix`. Every pool metric

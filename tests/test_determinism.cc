@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/divot_system.hh"
 #include "fault/campaign.hh"
 #include "fingerprint/study.hh"
 #include "itdr/itdr.hh"
+#include "telemetry/telemetry.hh"
 #include "txline/manufacturing.hh"
 
 namespace divot {
@@ -48,39 +53,63 @@ TEST(Determinism, StudyScoresBitExact)
     EXPECT_DOUBLE_EQ(a.roc.eer, b.roc.eer);
 }
 
+/** Byte equality of two score vectors (EXPECT_DOUBLE_EQ would allow
+ *  4 ULPs). */
+bool
+sameBytes(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool
+sameBytes(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 TEST(Determinism, ParallelStudyBitIdenticalToSerial)
 {
     // The campaign's determinism contract: thread count must not
     // change a single bit of the result. Serial (threads = 1) runs
-    // the lane bodies inline; parallel fans them out over a pool.
-    StudyConfig serial_cfg;
-    serial_cfg.lines = 3;
-    serial_cfg.wires = 2;
-    serial_cfg.enrollReps = 2;
-    serial_cfg.genuinePerLine = 3;
-    serial_cfg.impostorPerPair = 2;
-    serial_cfg.environment.temperatureSwingHiC = 60.0;  // env rng draws
-    serial_cfg.environment.vibrationStrain = 1e-3;      // schedule use
-    serial_cfg.threads = 1;
-    StudyConfig parallel_cfg = serial_cfg;
-    parallel_cfg.threads = 4;
+    // each lane's measurements inline, lane after lane; a pool hands
+    // single measurements of the 6 lanes (3 lines x 2 wires) to
+    // whichever worker is free, 6 over 4 or 7 workers alike.
+    StudyConfig cfg;
+    cfg.lines = 3;
+    cfg.wires = 2;
+    cfg.enrollReps = 2;
+    cfg.genuinePerLine = 3;
+    cfg.impostorPerPair = 2;
+    cfg.environment.temperatureSwingHiC = 60.0;  // env rng draws
+    cfg.environment.vibrationStrain = 1e-3;      // schedule use
 
-    const StudyResult a =
-        GenuineImpostorStudy(serial_cfg, Rng(11)).run();
-    const StudyResult b =
-        GenuineImpostorStudy(parallel_cfg, Rng(11)).run();
+    auto runAt = [&](unsigned threads, std::string &exported) {
+        Telemetry tm;
+        StudyConfig c = cfg;
+        c.threads = threads;
+        c.telemetry = &tm;
+        StudyResult r = GenuineImpostorStudy(c, Rng(11)).run();
+        exported = tm.exportJson();
+        return r;
+    };
+    std::string serialExport;
+    const StudyResult a = runAt(1, serialExport);
+    ASSERT_FALSE(a.genuine.empty());
+    ASSERT_FALSE(a.impostor.empty());
+    ASSERT_NE(serialExport.find("study.bus_cycles"), std::string::npos);
 
-    ASSERT_EQ(a.genuine.size(), b.genuine.size());
-    for (std::size_t i = 0; i < a.genuine.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.genuine[i], b.genuine[i]) << "genuine " << i;
-    ASSERT_EQ(a.impostor.size(), b.impostor.size());
-    for (std::size_t i = 0; i < a.impostor.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.impostor[i], b.impostor[i])
-            << "impostor " << i;
-    EXPECT_EQ(a.totalBusCycles, b.totalBusCycles);
-    EXPECT_DOUBLE_EQ(a.roc.eer, b.roc.eer);
-    EXPECT_DOUBLE_EQ(a.decidability, b.decidability);
-    EXPECT_DOUBLE_EQ(a.fittedEer, b.fittedEer);
+    for (const unsigned threads : {2u, 3u, 4u, 7u}) {
+        std::string exported;
+        const StudyResult b = runAt(threads, exported);
+        EXPECT_TRUE(sameBytes(a.genuine, b.genuine)) << threads;
+        EXPECT_TRUE(sameBytes(a.impostor, b.impostor)) << threads;
+        EXPECT_EQ(a.totalBusCycles, b.totalBusCycles) << threads;
+        EXPECT_TRUE(sameBytes(a.roc.eer, b.roc.eer)) << threads;
+        EXPECT_TRUE(sameBytes(a.decidability, b.decidability)) << threads;
+        EXPECT_TRUE(sameBytes(a.fittedEer, b.fittedEer)) << threads;
+        EXPECT_EQ(serialExport, exported) << threads;
+    }
 }
 
 TEST(Determinism, FaultedCampaignBitIdenticalAcrossThreads)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fingerprint/study.hh"
 #include "util/stats.hh"
 
@@ -102,6 +104,39 @@ TEST(Study, ConfigValidation)
     StudyConfig bad2 = smallConfig();
     bad2.wires = 0;
     EXPECT_DEATH(GenuineImpostorStudy(bad2, Rng(7)), "wire");
+
+    // Each bad value dies with a message naming its field, before any
+    // line is fabricated or any pool worker runs.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double v : {nan, inf, -inf, 0.0}) {
+        StudyConfig length = smallConfig();
+        length.lineLength = v;
+        EXPECT_DEATH(GenuineImpostorStudy(length, Rng(8)), "lineLength")
+            << v;
+        StudyConfig segment = smallConfig();
+        segment.segmentLength = v;
+        EXPECT_DEATH(GenuineImpostorStudy(segment, Rng(8)),
+                     "segmentLength")
+            << v;
+    }
+    for (const double v : {nan, inf, -inf, -0.1}) {
+        StudyConfig load = smallConfig();
+        load.loadImpedanceSigma = v;
+        EXPECT_DEATH(GenuineImpostorStudy(load, Rng(8)),
+                     "loadImpedanceSigma")
+            << v;
+    }
+    StudyConfig enroll = smallConfig();
+    enroll.enrollReps = 0;
+    EXPECT_DEATH(GenuineImpostorStudy(enroll, Rng(8)), "enrollReps");
+    StudyConfig genuine = smallConfig();
+    genuine.genuinePerLine = 0;
+    EXPECT_DEATH(GenuineImpostorStudy(genuine, Rng(8)), "genuinePerLine");
+    StudyConfig impostor = smallConfig();
+    impostor.impostorPerPair = 0;
+    EXPECT_DEATH(GenuineImpostorStudy(impostor, Rng(8)),
+                 "impostorPerPair");
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "txline/manufacturing.hh"
 #include "util/stats.hh"
@@ -104,6 +105,16 @@ TEST(ManufacturingProcess, RejectsBadGeometry)
     EXPECT_DEATH(fab.drawImpedanceProfile(0.0, 0.5e-3), "geometry");
     EXPECT_DEATH(fab.drawImpedanceProfile(0.1, 0.0), "geometry");
     EXPECT_DEATH(fab.drawImpedanceProfile(0.001, 0.01), "geometry");
+    // Non-finite inputs: NaN fails every comparison, and the segment
+    // count must come from a finite ratio.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf, -inf}) {
+        EXPECT_DEATH(fab.drawImpedanceProfile(bad, 0.5e-3), "geometry")
+            << "length " << bad;
+        EXPECT_DEATH(fab.drawImpedanceProfile(0.1, bad), "geometry")
+            << "segment " << bad;
+    }
 }
 
 TEST(ManufacturingProcess, RejectsBadParams)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the campaign thread pool: queue semantics, parallelFor
  * coverage, caller participation and per-call completion, exception
- * propagation, and the DIVOT_THREADS resolution the study driver and
+ * propagation, the parallelChains step order, serial reference and
+ * error contract, and the DIVOT_THREADS resolution the study and the
  * benches rely on.
  */
 
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -193,6 +195,168 @@ TEST(ThreadPool, ZeroIterationsIsANoop)
     bool touched = false;
     pool.parallelFor(0, [&](std::size_t) { touched = true; });
     EXPECT_FALSE(touched);
+}
+
+TEST(ThreadPool, ParallelChainsRunsEveryStepOnceInOrder)
+{
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        for (const std::size_t chains : {1u, 2u, 3u, 6u, 13u}) {
+            for (const std::size_t steps : {1u, 2u, 7u}) {
+                // `done` is plain state a chain's steps share across
+                // threads: only the claim hand-off orders it.
+                std::vector<std::size_t> done(chains, 0);
+                std::vector<std::atomic<bool>> inFlight(chains);
+                std::vector<std::atomic<int>> visits(chains * steps);
+                std::atomic<int> overlaps{0};
+                std::atomic<int> outOfOrder{0};
+                pool.parallelChains(
+                    chains, steps, [&](std::size_t c, std::size_t s) {
+                        if (inFlight[c].exchange(true))
+                            ++overlaps;
+                        if (done[c] != s)
+                            ++outOfOrder;
+                        ++visits[c * steps + s];
+                        std::this_thread::yield();
+                        done[c] = s + 1;
+                        inFlight[c] = false;
+                    });
+                EXPECT_EQ(overlaps.load(), 0);
+                EXPECT_EQ(outOfOrder.load(), 0);
+                for (std::size_t c = 0; c < chains; ++c) {
+                    EXPECT_EQ(done[c], steps);
+                    for (std::size_t s = 0; s < steps; ++s) {
+                        EXPECT_EQ(visits[c * steps + s].load(), 1)
+                            << "threads " << threads << ", chains "
+                            << chains << ", steps " << steps
+                            << ", step (" << c << ", " << s << ")";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ThreadPool, ParallelChainsSerialReferenceRunsInlineInChainOrder)
+{
+    struct Shape
+    {
+        unsigned threads;
+        std::size_t chains;
+    };
+    // One worker, and one chain on several.
+    for (const Shape shape : {Shape{1, 4}, Shape{4, 1}}) {
+        ThreadPool pool(shape.threads);
+        std::vector<std::pair<std::size_t, std::size_t>> order;
+        std::vector<std::thread::id> ranOn;
+        pool.parallelChains(shape.chains, 3,
+                            [&](std::size_t c, std::size_t s) {
+                                order.emplace_back(c, s);
+                                ranOn.push_back(
+                                    std::this_thread::get_id());
+                            });
+        std::vector<std::pair<std::size_t, std::size_t>> expected;
+        for (std::size_t c = 0; c < shape.chains; ++c) {
+            for (std::size_t s = 0; s < 3; ++s)
+                expected.emplace_back(c, s);
+        }
+        EXPECT_EQ(order, expected) << "threads " << shape.threads;
+        for (const std::thread::id id : ranOn)
+            EXPECT_EQ(id, std::this_thread::get_id());
+    }
+}
+
+TEST(ThreadPool, ParallelChainsWithNoStepsIsANoop)
+{
+    for (const unsigned threads : {1u, 3u}) {
+        ThreadPool pool(threads);
+        bool touched = false;
+        auto body = [&](std::size_t, std::size_t) { touched = true; };
+        pool.parallelChains(0, 5, body);
+        pool.parallelChains(5, 0, body);
+        EXPECT_FALSE(touched);
+    }
+}
+
+TEST(ThreadPool, ParallelChainsFailedChainStopsAndOthersFinish)
+{
+    constexpr std::size_t chains = 5;
+    constexpr std::size_t steps = 6;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        ThreadPool pool(threads);
+        std::vector<std::atomic<int>> ran(chains * steps);
+        std::atomic<int> running{0};
+        std::atomic<int> finished{0};
+        auto body = [&](std::size_t c, std::size_t s) {
+            ++running;
+            ++ran[c * steps + s];
+            std::this_thread::yield();
+            --running;
+            ++finished;
+            if (c == 2 && s == 3)
+                throw std::runtime_error("chain 2");
+            if (c == 4 && s == 1)
+                throw std::logic_error("chain 4");
+        };
+        std::string caught;
+        try {
+            pool.parallelChains(chains, steps, body);
+        } catch (const std::exception &e) {
+            caught = e.what();
+            // Every claimed step had finished before the rethrow.
+            EXPECT_EQ(running.load(), 0);
+            EXPECT_EQ(finished.load(), 6 + 6 + 4 + 6 + 2);
+        }
+        // Serially chain 2 fails first; on a pool either may.
+        if (threads == 1)
+            EXPECT_EQ(caught, "chain 2");
+        else
+            EXPECT_TRUE(caught == "chain 2" || caught == "chain 4")
+                << caught;
+        for (std::size_t c = 0; c < chains; ++c) {
+            const std::size_t last =
+                c == 2 ? 3 : (c == 4 ? 1 : steps - 1);
+            for (std::size_t s = 0; s < steps; ++s) {
+                EXPECT_EQ(ran[c * steps + s].load(), s <= last ? 1 : 0)
+                    << "threads " << threads << ", step (" << c << ", "
+                    << s << ")";
+            }
+        }
+        // The pool stays usable.
+        std::atomic<int> after{0};
+        pool.parallelChains(3, 2, [&](std::size_t, std::size_t) {
+            ++after;
+        });
+        EXPECT_EQ(after.load(), 6);
+    }
+}
+
+TEST(ThreadPool, ParallelChainsHandsNextStepsToFreeWorkers)
+{
+    // 3 chains x 2 steps on 2 workers. Step 1 of chains 0 and 1 waits
+    // for step 0 of chain 2 to start. A free worker must take chain
+    // 2's step 0 (most steps left) once it finishes a step 0; a pool
+    // that ran each chain whole on one worker would park both workers
+    // in chains 0 and 1 and never start chain 2. The wait is bounded,
+    // so that schedule fails here instead of hanging.
+    ThreadPool pool(2);
+    std::mutex mutex;
+    std::condition_variable started;
+    bool chain2Started = false;
+    std::atomic<int> timedOut{0};
+    pool.parallelChains(3, 2, [&](std::size_t c, std::size_t s) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (c == 2 && s == 0) {
+            chain2Started = true;
+            started.notify_all();
+        } else if (c < 2 && s == 1) {
+            if (!started.wait_for(lock, std::chrono::seconds(10),
+                                  [&] { return chain2Started; }))
+                ++timedOut;
+        }
+    });
+    EXPECT_TRUE(chain2Started);
+    EXPECT_EQ(timedOut.load(), 0);
 }
 
 TEST(ThreadPool, DefaultThreadCountHonorsEnvironment)
