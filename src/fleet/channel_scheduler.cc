@@ -1,6 +1,7 @@
 #include "fleet/channel_scheduler.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -24,26 +25,31 @@ constexpr uint64_t kRequestBoost = 1ull << 32;
 // should spend a shared instrument on a channel in that state.
 // Suspect channels are probed more often, not less — confirming or
 // clearing an alarm is worth more than re-checking a healthy wire.
+// PendingReenroll channels are never ranked or probed, so they need
+// no weight of their own.
 uint64_t
 riskWeight(AuthState state)
 {
     switch (state) {
-    case AuthState::Unenrolled:
-    case AuthState::Monitoring:
-        return 1;
     case AuthState::Mismatch:
     case AuthState::Degraded:
         return 4;
     case AuthState::TamperAlert:
     case AuthState::Quarantine:
         return 8;
-    case AuthState::PendingReenroll:
-        return 0; // nothing to authenticate against: never selected
+    default:
+        return 1;
     }
-    return 1;
 }
 
 } // namespace
+
+unsigned
+resolveHydrationLanes(unsigned requested, unsigned shards)
+{
+    const unsigned cap = shards == 0 ? 1 : shards;
+    return std::min(requested == 0 ? 8u : requested, cap);
+}
 
 const char *
 schedulerPolicyName(SchedulerPolicy policy)
@@ -62,13 +68,11 @@ ChannelScheduler::ChannelScheduler(FleetConfig config, Rng rng)
       telemetry_(std::make_unique<Telemetry>(config.telemetry)),
       fleetAuth_(config.fusion, config.similarityThreshold,
                  config.tamperWireVotes),
-      pool_(std::make_unique<ThreadPool>(config.threads)),
-      reactor_(std::make_unique<Reactor>(config.instruments))
+      pool_(std::make_unique<ThreadPool>(config.threads))
 {
     if (config_.instruments == 0)
         divot_fatal("fleet needs at least one iTDR instrument");
     pool_->attachTelemetry(telemetry_.get(), "fleet.pool");
-    reactor_->attachTelemetry(telemetry_.get());
     Registry &reg = telemetry_->registry();
     tmTicks_ = reg.counter("fleet.ticks");
     tmProbes_ = reg.counter("fleet.probes");
@@ -84,9 +88,6 @@ ChannelScheduler::ChannelScheduler(FleetConfig config, Rng rng)
     tmUtilization_ = reg.gauge("fleet.instrument.utilization");
     tmIdleSlotPermille_ = reg.gauge("fleet.reactor.idle_slot.permille");
     tmQueuePeak_ = reg.gauge("fleet.reactor.queue.peak");
-    // Steady-state epoch: one hydrate + one completion per instrument
-    // plus the epoch tail — pre-size the arena so ticks never grow it.
-    reactor_->reserve(2 * config_.instruments + 4);
 }
 
 ChannelScheduler::~ChannelScheduler() = default;
@@ -109,7 +110,6 @@ ChannelScheduler::addChannel(BusChannelConfig config)
     lastProbeTick_.push_back(-1);
     probeCounts_.push_back(0);
     generations_.push_back(0);
-    phase_.push_back(ChannelPhase::Idle);
     requestBoost_.push_back(0);
     nameIndex_.emplace(channels_.back()->name(), index);
     if (db_ != nullptr) {
@@ -131,42 +131,9 @@ ChannelScheduler::rebuildShardRouting()
 }
 
 unsigned
-ChannelScheduler::resolveLanes() const
-{
-    // Lanes partition *hydration*, which only exists store-backed.
-    if (db_ == nullptr)
-        return 1;
-    if (config_.reactorLanes != 0)
-        return config_.reactorLanes;
-    const unsigned shards =
-        db_->config().shards == 0 ? 1 : db_->config().shards;
-    return std::min(shards, 8u);
-}
-
-unsigned
 ChannelScheduler::laneOf(std::size_t index) const
 {
     return db_->shardOf(channels_[index]->name()) % laneCount_;
-}
-
-void
-ChannelScheduler::scheduleEvent(Reactor &target, ReactorEventType type,
-                                double vtime, std::size_t channel,
-                                uint64_t ticket)
-{
-    target.schedule(type, vtime, channel, ticket);
-    // The lane-invariant queue-shape account: total events queued
-    // fleet-wide, sampled where the total can only have grown. For
-    // one lane this is exactly the reactor's own high-water; for K
-    // lanes the sum is identical because the same events exist, just
-    // partitioned.
-    std::size_t depth = reactor_->depth();
-    for (const auto &lane : laneReactors_)
-        depth += lane->depth();
-    if (depth > queuePeak_) {
-        queuePeak_ = depth;
-        tmQueuePeak_.max(static_cast<int64_t>(depth));
-    }
 }
 
 void
@@ -177,23 +144,12 @@ ChannelScheduler::attachStore(store::EnrollmentDb *db,
     residentBudget_ = resident_budget_bytes;
     resident_ = 0;
     rebuildShardRouting();
-    laneReactors_.clear();
-    laneCount_ = resolveLanes();
+    // Lanes partition *hydration*, which only exists store-backed.
+    laneCount_ = 1;
     if (db_ == nullptr)
         return;
-    if (laneCount_ > 1) {
-        // Lane reactors share the primary's telemetry cells
-        // (registration is idempotent) and never touch the instrument
-        // pool — instruments are acquired only from the serial probe
-        // phase on the primary.
-        laneReactors_.reserve(laneCount_);
-        for (unsigned k = 0; k < laneCount_; ++k) {
-            laneReactors_.push_back(
-                std::make_unique<Reactor>(config_.instruments));
-            laneReactors_.back()->attachTelemetry(telemetry_.get());
-            laneReactors_.back()->reserve(config_.instruments + 1);
-        }
-    }
+    laneCount_ = resolveHydrationLanes(config_.reactorLanes,
+                                       db_->config().shards);
     db_->setShardCacheLanes(laneCount_);
     Registry &reg = telemetry_->registry();
     tmHydrates_ = reg.counter("store.hydrates");
@@ -252,7 +208,6 @@ ChannelScheduler::demoteToPendingReenroll(std::size_t index,
         ch.enrollmentResident() ? ch.enrollmentBytes() : 0;
     const AuthVerdict verdict = ch.markPendingReenroll();
     resident_ -= std::min(resident_, bytes);
-    phase_[index] = ChannelPhase::Fenced;
     tmPendingReenroll_.add();
     // The fused verdict must stop reusing this wire's stale score the
     // moment the loss is known, so the demotion is observed like a
@@ -268,28 +223,6 @@ ChannelScheduler::demoteToPendingReenroll(std::size_t index,
     event.tag = ch.name();
     event.detail = "enrollment unrecoverable; pending re-enroll";
     telemetry_->events().record(std::move(event));
-}
-
-bool
-ChannelScheduler::hydrateChannel(std::size_t index, double wall)
-{
-    BusChannel &ch = *channels_[index];
-    if (ch.state() == AuthState::PendingReenroll)
-        return false;
-    if (db_ == nullptr || ch.enrollmentResident())
-        return true;
-    store::EnrollmentRecord record;
-    if (db_->get(ch.name(), record) == store::DbGetStatus::Ok) {
-        ch.restoreEnrollment(std::move(record.fp),
-                             std::move(record.nominal));
-        resident_ += ch.enrollmentBytes();
-        tmHydrates_.add();
-        return true;
-    }
-    // Missing or damaged in every bank: for an enrolled channel both
-    // mean the calibration is gone. Fence the channel, keep the fleet.
-    demoteToPendingReenroll(index, wall);
-    return false;
 }
 
 void
@@ -338,26 +271,14 @@ bool
 ChannelScheduler::reenrollChannel(std::size_t index)
 {
     BusChannel &ch = channel(index);
-    // Operator-initiated: consumed immediately (between epochs), but
-    // still sequenced and counted so the event order stays a complete
-    // record of everything that happened to the fleet.
-    reactor_->dispatchImmediate(ReactorEventType::RecalibrateRequest,
-                                elapsed_, index);
     const bool was_resident = ch.enrollmentResident();
     const std::size_t before = was_resident ? ch.enrollmentBytes() : 0;
     ch.calibrate();
-    phase_[index] = ChannelPhase::Idle;
-    if (db_ != nullptr) {
-        resident_ -= std::min(resident_, before);
-        resident_ += ch.enrollmentBytes();
-        if (!persistChannel(index)) {
-            reactor_->dispatchImmediate(ReactorEventType::FaultEvent,
-                                        elapsed_, index);
-            return false;
-        }
+    if (db_ == nullptr)
         return true;
-    }
-    return true;
+    resident_ -= std::min(resident_, before);
+    resident_ += ch.enrollmentBytes();
+    return persistChannel(index);
 }
 
 void
@@ -388,16 +309,20 @@ ChannelScheduler::calibrateAll()
 ChannelPhase
 ChannelScheduler::channelPhase(std::size_t index) const
 {
-    if (index >= phase_.size())
-        divot_fatal("fleet channel index %zu out of range (%zu)",
-                    index, phase_.size());
-    return phase_[index];
+    return channel(index).state() == AuthState::PendingReenroll
+        ? ChannelPhase::Fenced
+        : ChannelPhase::Idle;
 }
 
 double
 ChannelScheduler::instrumentUtilization() const
 {
-    return reactor_->utilization(elapsed_);
+    // Busy instrument-seconds over the pool's capacity so far.
+    const double capacity =
+        elapsed_ * static_cast<double>(config_.instruments);
+    if (!(capacity > 0.0))
+        return 0.0;
+    return std::min(1.0, busySeconds_ / capacity);
 }
 
 std::vector<std::size_t>
@@ -445,228 +370,79 @@ ChannelScheduler::selectChannels() const
     return selected;
 }
 
-void
-ChannelScheduler::handleEvent(const ReactorEvent &event)
+std::vector<std::size_t>
+ChannelScheduler::hydrate(const std::vector<std::size_t> &selected,
+                          double wall)
 {
-    switch (event.type) {
-    case ReactorEventType::HydrateRequest:
-        onHydrateRequest(event);
-        return;
-    case ReactorEventType::ProbeComplete:
-        onProbeComplete(event);
-        return;
-    case ReactorEventType::FuseEpoch:
-        onFuseEpoch(event);
-        return;
-    case ReactorEventType::EvictPressure:
-        onEvictPressure(event);
-        return;
-    case ReactorEventType::ScrubStep:
-        onScrubStep(event);
-        return;
-    case ReactorEventType::RecalibrateRequest:
-        // Operator path: consumed immediately in reenrollChannel(),
-        // never queued.
-        return;
-    case ReactorEventType::FaultEvent:
-        // Recovery already ran when the fault was detected (demotion
-        // or failed persist); the event exists so fault manifestation
-        // has a deterministic place in the order and in the
-        // fleet.reactor.events.fault account.
-        return;
-    case ReactorEventType::RequestArrival:
-        if (hook_ != nullptr)
-            hook_->onRequestArrival(event);
-        return;
-    case ReactorEventType::RequestComplete:
-        if (hook_ != nullptr)
-            hook_->onRequestComplete(event);
-        return;
-    }
-}
+    if (db_ == nullptr)
+        return selected; // storeless: every enrollment is resident
 
-void
-ChannelScheduler::onHydrateRequest(const ReactorEvent &event)
-{
-    const std::size_t c = event.channel;
-    if (!hydrateChannel(c, event.vtime)) {
-        // Channel fenced (demotion already observed into the fused
-        // verdict); record the manifestation.
-        scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                      event.vtime, c);
-        return;
-    }
-    phase_[c] = ChannelPhase::Probing;
-    epochReady_.push_back(c);
-}
-
-void
-ChannelScheduler::hydrateLanes(const std::vector<std::size_t> &selected)
-{
-    // Lane phase: every lane drains its own HydrateRequest queue on
-    // the pool, staging what it *would* do to the fleet. A lane only
-    // touches lane-confined state — its own reactor, its shard-cache
-    // partition (shard % K == lane, the same rule laneOf() routes by),
-    // and the selected channels' own objects (restoreEnrollment) —
-    // so the staged outcomes are a pure function of (seed, config)
-    // at any thread count.
+    // Lane k holds the selected channels whose shard s satisfies
+    // s % K == k, in selection order, and stages one outcome per
+    // channel on its own thread. A lane touches only lane-confined
+    // state — its shard-cache partition (the same rule laneOf()
+    // routes by) and its channels' own objects (restoreEnrollment) —
+    // so the staged outcomes are a pure function of (seed, config) at
+    // any thread and lane count.
     enum class Outcome : uint8_t
     {
-        Ready,       // already resident: just dispatchable
-        HydratedNew, // restored from the store this epoch
-        Lost,        // missing/unrecoverable: fence the channel
-        FencedSkip   // was already PendingReenroll when popped
+        Ready,    // already resident
+        Hydrated, // restored from the store this epoch
+        Lost      // missing/unrecoverable: fence the channel
     };
-    struct Staged
-    {
-        Outcome kind = Outcome::Ready;
-        std::size_t bytes = 0;
-    };
-    std::vector<Staged> staged(selected.size());
-    // Fan out over the lanes holding a request this tick only; an
-    // empty lane's body would be a no-op.
-    std::vector<std::size_t> busy;
-    busy.reserve(laneCount_);
-    for (std::size_t lane = 0; lane < laneCount_; ++lane) {
-        if (!laneReactors_[lane]->empty())
-            busy.push_back(lane);
-    }
-    pool_->parallelFor(busy.size(), [&](std::size_t k) {
-        Reactor &lr = *laneReactors_[busy[k]];
-        while (!lr.empty()) {
-            const ReactorEvent event = lr.pop();
-            Staged &out = staged[event.ticket];
-            BusChannel &ch = *channels_[event.channel];
-            if (ch.state() == AuthState::PendingReenroll) {
-                out.kind = Outcome::FencedSkip;
+    std::vector<Outcome> staged(selected.size(), Outcome::Ready);
+    std::vector<std::vector<std::size_t>> buckets(laneCount_);
+    for (std::size_t j = 0; j < selected.size(); ++j)
+        buckets[laneOf(selected[j])].push_back(j);
+    // Fan out over the lanes holding a channel this epoch only.
+    std::erase_if(buckets, [](const std::vector<std::size_t> &bucket) {
+        return bucket.empty();
+    });
+    pool_->parallelFor(buckets.size(), [&](std::size_t k) {
+        for (const std::size_t j : buckets[k]) {
+            BusChannel &ch = *channels_[selected[j]];
+            if (ch.enrollmentResident())
                 continue;
-            }
-            if (ch.enrollmentResident()) {
-                out.kind = Outcome::Ready;
-                continue;
-            }
             store::EnrollmentRecord record;
-            if (db_->get(ch.name(), record) ==
-                store::DbGetStatus::Ok) {
-                ch.restoreEnrollment(std::move(record.fp),
-                                     std::move(record.nominal));
-                out.kind = Outcome::HydratedNew;
-                out.bytes = ch.enrollmentBytes();
+            if (db_->get(ch.name(), record) != store::DbGetStatus::Ok) {
+                staged[j] = Outcome::Lost;
                 continue;
             }
-            out.kind = Outcome::Lost;
+            ch.restoreEnrollment(std::move(record.fp),
+                                 std::move(record.nominal));
+            staged[j] = Outcome::Hydrated;
         }
     });
-    // Serial merge, ascending selection order — exactly the order a
-    // single lane pops (equal vtime, ascending seq), so phase
-    // transitions, the epochReady_ batch, demotion side effects (the
-    // order-sensitive "store.lost" event ring) and the FaultEvent
-    // sequence on the primary reproduce the one-lane run bit for bit.
+
+    // Serial merge in ascending selection (= channel) order, so
+    // demotion side effects — the order-sensitive "store.lost" event
+    // ring and the service responses they release — are identical at
+    // any lane count.
+    std::vector<std::size_t> ready;
+    ready.reserve(selected.size());
     for (std::size_t j = 0; j < selected.size(); ++j) {
         const std::size_t c = selected[j];
-        switch (staged[j].kind) {
-        case Outcome::HydratedNew:
-            resident_ += staged[j].bytes;
+        switch (staged[j]) {
+        case Outcome::Hydrated:
+            resident_ += channels_[c]->enrollmentBytes();
             tmHydrates_.add();
             [[fallthrough]];
         case Outcome::Ready:
-            phase_[c] = ChannelPhase::Probing;
-            epochReady_.push_back(c);
+            ready.push_back(c);
             break;
         case Outcome::Lost:
-            demoteToPendingReenroll(c, epochWall_);
-            scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                          epochWall_, c);
-            break;
-        case Outcome::FencedSkip:
-            scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                          epochWall_, c);
+            // Missing or damaged in every bank: for an enrolled
+            // channel both mean the calibration is gone. Fence the
+            // channel, keep the fleet.
+            demoteToPendingReenroll(c, wall);
             break;
         }
     }
-    // Fold lane consumption into the primary so consumed() totals are
-    // lane-count-invariant (shared telemetry cells were bumped once,
-    // at the lane's pop).
-    for (auto &lane : laneReactors_)
-        reactor_->absorb(*lane);
+    return ready;
 }
 
 void
-ChannelScheduler::launchProbes()
-{
-    const double wall = epochWall_;
-
-    // Scheduling metrics captured before the probes run: staleness and
-    // risk weight are exactly the quantities selectChannels() ranked
-    // on, and the probe updates them.
-    for (const std::size_t c : epochReady_) {
-        tmStaleness_.record(static_cast<uint64_t>(
-            static_cast<int64_t>(tick_) - lastProbeTick_[c]));
-        tmRiskWeight_.record(riskWeight(channels_[c]->state()));
-        tmChannelProbes_[c].add();
-    }
-
-    round_.probes.resize(epochReady_.size());
-    // Disjoint channels, disjoint result slots: bit-identical at any
-    // thread count.
-    pool_->parallelFor(epochReady_.size(), [&](std::size_t i) {
-        const std::size_t c = epochReady_[i];
-        round_.probes[i].channel = c;
-        round_.probes[i].verdict = channels_[c]->monitorAt(wall);
-    });
-
-    // Completions land on the tick boundary, ascending channel order
-    // (epochReady_ is ascending), followed by fusion and — with a
-    // store attached — eviction pressure and, when slots idled, one
-    // scrub step: exactly the pre-reactor operation order.
-    for (std::size_t i = 0; i < epochReady_.size(); ++i) {
-        reactor_->acquireInstrument();
-        scheduleEvent(*reactor_, ReactorEventType::ProbeComplete,
-                      epochEnd_, epochReady_[i], /*ticket=*/i);
-    }
-    scheduleEvent(*reactor_, ReactorEventType::FuseEpoch, epochEnd_);
-    if (db_ != nullptr) {
-        scheduleEvent(*reactor_, ReactorEventType::EvictPressure,
-                      epochEnd_);
-        if (epochReady_.size() < config_.instruments)
-            scheduleEvent(*reactor_, ReactorEventType::ScrubStep,
-                          epochEnd_);
-    }
-}
-
-void
-ChannelScheduler::onProbeComplete(const ReactorEvent &event)
-{
-    const std::size_t c = event.channel;
-    const ChannelProbe &probe = round_.probes[event.ticket];
-    lastProbeTick_[c] = static_cast<int64_t>(tick_);
-    ++probeCounts_[c];
-    fleetAuth_.observe(c, probe.verdict);
-    reactor_->releaseInstrument(channels_[c]->roundDuration());
-    phase_[c] = ChannelPhase::Idle;
-    requestBoost_[c] = 0;
-    if (hook_ != nullptr)
-        hook_->onProbeObserved(c, probe.verdict, event.vtime);
-}
-
-void
-ChannelScheduler::onFuseEpoch(const ReactorEvent &event)
-{
-    round_.fused = fleetAuth_.evaluate(tick_);
-    lastVerdict_ = round_.fused;
-    if (hook_ != nullptr)
-        hook_->onEpochFused(round_.fused, event.vtime);
-}
-
-void
-ChannelScheduler::onEvictPressure(const ReactorEvent &event)
-{
-    (void)event;
-    enforceResidentBudget(static_cast<int64_t>(tick_));
-}
-
-void
-ChannelScheduler::onScrubStep(const ReactorEvent &event)
+ChannelScheduler::scrub(double wall)
 {
     // One shard gets a scrub pass, repairing any single-bank damage
     // while the siblings are still healthy. Channels whose records
@@ -679,11 +455,8 @@ ChannelScheduler::onScrubStep(const ReactorEvent &event)
         if (it == nameIndex_.end())
             continue;
         const std::size_t i = it->second;
-        if (channels_[i]->state() == AuthState::PendingReenroll)
-            continue;
-        demoteToPendingReenroll(i, event.vtime);
-        scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                      event.vtime, i);
+        if (channels_[i]->state() != AuthState::PendingReenroll)
+            demoteToPendingReenroll(i, wall);
     }
     if (scrub.unreadable || scrub.lostUnnamed > 0) {
         // The shard image yielded nothing recoverable, or lost records
@@ -702,9 +475,7 @@ ChannelScheduler::onScrubStep(const ReactorEvent &event)
             store::EnrollmentRecord rec;
             if (db_->get(channels_[i]->name(), rec) !=
                 store::DbGetStatus::Ok) {
-                demoteToPendingReenroll(i, event.vtime);
-                scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                              event.vtime, i);
+                demoteToPendingReenroll(i, wall);
             }
         }
     }
@@ -717,76 +488,97 @@ ChannelScheduler::tick()
         divot_fatal("fleet tick() before calibrateAll()");
 
     const double epochLen = tickDuration();
-    epochWall_ = epochLen * static_cast<double>(tick_);
-    epochEnd_ = epochWall_ + epochLen;
-    round_ = FleetRound();
-    round_.tick = tick_;
-    epochReady_.clear();
-
+    const double wall = epochLen * static_cast<double>(tick_);
+    const double end = wall + epochLen;
+    FleetRound round;
+    round.tick = tick_;
     SpanScope span = telemetry_->tracer().open("fleet.tick", "fleet",
-                                               epochWall_, tick_);
-    const auto drain = [this] {
-        while (!reactor_->empty())
-            handleEvent(reactor_->pop());
-    };
+                                               wall, tick_);
 
-    // Service requests admitted since the last epoch wait at the head
-    // of the queue (the previous epoch drained everything else).
-    // Consume them before ranking so their boosts steer this epoch's
-    // dispatch; immediate kinds complete right here, because arrival
-    // handlers schedule RequestComplete events this same loop drains.
-    drain();
-
-    const std::vector<std::size_t> selected = selectChannels();
-    for (std::size_t j = 0; j < selected.size(); ++j) {
-        const std::size_t c = selected[j];
-        phase_[c] = ChannelPhase::Hydrating;
-        // Lane routing follows the store shard (shard % K), so a
-        // lane's queue aligns with its shard-cache partition; the
-        // ticket carries the selection position for the staged
-        // outcome slot.
-        scheduleEvent(laneCount_ > 1 ? *laneReactors_[laneOf(c)]
-                                     : *reactor_,
-                      ReactorEventType::HydrateRequest, epochWall_, c,
-                      /*ticket=*/j);
+    // 1. Requests admitted since the last epoch enter it, in
+    //    admission order and before ranking, so their boosts steer
+    //    this epoch's selection; immediate kinds answer right here.
+    const std::vector<uint64_t> arrivals = std::move(arrivals_);
+    arrivals_.clear();
+    if (hook_ != nullptr) {
+        for (const uint64_t ticket : arrivals)
+            hook_->onRequestArrival(ticket, elapsed_);
     }
-    if (laneCount_ > 1)
-        hydrateLanes(selected);
-    // Hydrations consume in ascending channel order (equal vtime,
-    // ascending seq); once the queue runs dry the probe batch + epoch
-    // tail launch and drain in the pre-reactor operation order.
-    drain();
-    launchProbes();
-    drain();
+
+    // 2. Select, 3. hydrate (lost records fence their channel).
+    const std::vector<std::size_t> ready =
+        hydrate(selectChannels(), wall);
+
+    // 4. The probe batch. Scheduling metrics are captured first:
+    //    staleness and risk weight are exactly what selection ranked
+    //    on, and the probe updates them. Disjoint channels, disjoint
+    //    result slots: bit-identical at any thread count.
+    for (const std::size_t c : ready) {
+        tmStaleness_.record(static_cast<uint64_t>(
+            static_cast<int64_t>(tick_) - lastProbeTick_[c]));
+        tmRiskWeight_.record(riskWeight(channels_[c]->state()));
+        tmChannelProbes_[c].add();
+    }
+    round.probes.resize(ready.size());
+    pool_->parallelFor(ready.size(), [&](std::size_t i) {
+        const std::size_t c = ready[i];
+        round.probes[i].channel = c;
+        round.probes[i].verdict = channels_[c]->monitorAt(wall);
+    });
+
+    // 5. Every probe completes on the tick boundary, ascending channel
+    //    order: its verdict enters the fusion and answers the Verifies
+    //    parked on its channel.
+    for (const ChannelProbe &probe : round.probes) {
+        const std::size_t c = probe.channel;
+        lastProbeTick_[c] = static_cast<int64_t>(tick_);
+        ++probeCounts_[c];
+        fleetAuth_.observe(c, probe.verdict);
+        busySeconds_ += channels_[c]->roundDuration();
+        requestBoost_[c] = 0;
+        if (hook_ != nullptr)
+            hook_->onProbeObserved(c, probe.verdict, end);
+    }
+
+    // 6. Fuse, then evict, then — when a slot idled — scrub.
+    round.fused = fleetAuth_.evaluate(tick_);
+    lastVerdict_ = round.fused;
+    if (hook_ != nullptr)
+        hook_->onEpochFused(round.fused, end);
+    if (db_ != nullptr) {
+        enforceResidentBudget(static_cast<int64_t>(tick_));
+        if (ready.size() < config_.instruments)
+            scrub(end);
+    }
 
     tmTicks_.add();
-    tmProbes_.add(round_.probes.size());
+    tmProbes_.add(round.probes.size());
     tmInstrumentSlots_.add(config_.instruments);
-    tmIdleSlots_.add(config_.instruments - round_.probes.size());
-    (round_.fused.busTrusted ? tmTrusted_ : tmUntrusted_).add();
-    if (round_.fused.tamperAlarm)
+    tmIdleSlots_.add(config_.instruments - round.probes.size());
+    (round.fused.busTrusted ? tmTrusted_ : tmUntrusted_).add();
+    if (round.fused.tamperAlarm)
         tmAlarms_.add();
-    if (round_.fused.busTrusted != lastTrusted_) {
+    if (round.fused.busTrusted != lastTrusted_) {
         tmTrustFlips_.add();
         TelemetryEvent event;
-        event.time = epochWall_;
+        event.time = wall;
         event.ordinal = tick_;
         event.kind = "fleet.trust";
         event.tag = "fleet";
-        event.detail = round_.fused.busTrusted
+        event.detail = round.fused.busTrusted
             ? "untrusted->trusted" : "trusted->untrusted";
         telemetry_->events().record(std::move(event));
     }
-    lastTrusted_ = round_.fused.busTrusted;
-    elapsed_ = epochEnd_;
-    const int64_t util = reactor_->utilizationPerMille(elapsed_);
+    lastTrusted_ = round.fused.busTrusted;
+    elapsed_ = end;
+    const int64_t util = static_cast<int64_t>(
+        std::llround(instrumentUtilization() * 1000.0));
     tmUtilization_.set(util);
     tmIdleSlotPermille_.set(1000 - util);
-    span.close(epochEnd_, 0);
+    span.close(end, 0);
 
     ++tick_;
-    FleetRound result = std::move(round_);
-    return result;
+    return round;
 }
 
 std::size_t
@@ -797,19 +589,13 @@ ChannelScheduler::findChannel(const std::string &name) const
 }
 
 void
-ChannelScheduler::scheduleRequestArrival(std::size_t channel,
-                                         uint64_t ticket)
+ChannelScheduler::queueArrival(uint64_t ticket)
 {
-    scheduleEvent(*reactor_, ReactorEventType::RequestArrival,
-                  elapsed_, channel, ticket);
-}
-
-void
-ChannelScheduler::scheduleRequestComplete(std::size_t channel,
-                                          uint64_t ticket, double vtime)
-{
-    scheduleEvent(*reactor_, ReactorEventType::RequestComplete, vtime,
-                  channel, ticket);
+    arrivals_.push_back(ticket);
+    if (arrivals_.size() > queuePeak_) {
+        queuePeak_ = arrivals_.size();
+        tmQueuePeak_.max(static_cast<int64_t>(queuePeak_));
+    }
 }
 
 void
@@ -824,14 +610,7 @@ ChannelScheduler::boostChannel(std::size_t index)
 bool
 ChannelScheduler::persistEnrollment(std::size_t index)
 {
-    if (db_ == nullptr)
-        return false;
-    if (!persistChannel(index)) {
-        reactor_->dispatchImmediate(ReactorEventType::FaultEvent,
-                                    elapsed_, index);
-        return false;
-    }
-    return true;
+    return db_ != nullptr && persistChannel(index);
 }
 
 uint64_t

@@ -108,25 +108,21 @@ MegaFleet::MegaFleet(MegaFleetConfig config, Rng rng)
                     "(got %g)", config_.tamperThreshold);
     }
     if (config_.channels == 0)
-        config_.channels = 1;
+        divot_fatal("megafleet channels must be >= 1 (got 0)");
     if (config_.fingerprintBins == 0)
-        config_.fingerprintBins = 8;
+        divot_fatal("megafleet fingerprintBins must be >= 1 (got 0)");
     if (config_.probesPerTick == 0)
-        config_.probesPerTick = 1;
+        divot_fatal("megafleet probesPerTick must be >= 1 (got 0)");
     if (config_.instruments == 0)
-        config_.instruments = 1;
+        divot_fatal("megafleet instruments must be >= 1 (got 0)");
     slots_.resize(config_.channels);
 
     // Resolve the hydration-lane count from the fleet *composition*
     // only (never the thread count: the digest must not move when the
     // pool size does) and give the store's decoded-image cache the
     // same partition before the db is built.
-    lanes_ = config_.reactorLanes;
-    if (lanes_ == 0) {
-        const unsigned shards =
-            config_.store.shards == 0 ? 1 : config_.store.shards;
-        lanes_ = std::min(shards, 8u);
-    }
+    lanes_ = resolveHydrationLanes(config_.reactorLanes,
+                                   config_.store.shards);
     config_.store.shardCacheLanes = lanes_;
 
     store::ensureDir(config_.store.directory);

@@ -78,8 +78,10 @@ struct MegaFleetConfig
      * its shards in ascending order on its own thread, and the staged
      * results merge serially in ascending shard order — so fused
      * verdicts and the digest are bit-identical for K=1 vs any K at
-     * any thread count. 0 = auto: min(store shards, 8). The store's
-     * decoded-image cache is re-partitioned to the same lane count.
+     * any thread count. Resolved like FleetConfig::reactorLanes
+     * (resolveHydrationLanes): 0 = min(store shards, 8), never more
+     * lanes than shards. The store's decoded-image cache is
+     * re-partitioned to the same lane count.
      */
     unsigned reactorLanes = 0;
     store::EnrollmentDbConfig store;  //!< shard directory + tunables

@@ -4,21 +4,20 @@
  *
  * External traffic consults the authentication authority through a
  * typed request stream (service/request.hh). Admission is bounded and
- * synchronous: submit() either admits the request into the fleet
- * reactor or answers immediately with an explicit rejection (Busy on
+ * synchronous: submit() either admits the request into the next fleet
+ * epoch or answers immediately with an explicit rejection (Busy on
  * a full global/per-channel queue, Unknown for a name the fleet has
- * never seen). Admitted requests become first-class reactor events —
- * a RequestArrival consumed at the head of the next epoch, before
- * channel ranking, and a RequestComplete when the answer is due — so
- * admission, hydration, probing, and response emission are one
- * deterministic event order, a pure function of (seed, config) at any
- * thread count. A Verify boosts its channel's staleness x risk
- * priority (request pressure IS risk pressure), so the scheduler
- * spends the next instrument slot answering it.
+ * never seen). An admitted request enters the next epoch as its first
+ * step, before channel ranking, and its response is emitted at the
+ * epoch step that decides it — so admission, hydration, probing, and
+ * response emission are one deterministic order, a pure function of
+ * (seed, config) at any thread count. A Verify boosts its channel's
+ * staleness x risk priority (request pressure IS risk pressure), so
+ * the scheduler spends the next instrument slot answering it.
  *
  * Per-request lifecycle:
  *  - Enroll / Reenroll / QuarantineStatus complete at their arrival
- *    instant (store persists happen inside the serial event loop).
+ *    step (store persists happen on the epoch's calling thread).
  *  - Verify waits for its channel's next observed verdict — a real
  *    probe or a fence demotion — and answers Fenced without burning
  *    an instrument when the channel is already quarantined.
@@ -93,10 +92,9 @@ class FleetService final : public ServiceHook
     /** @return the fleet this service fronts. */
     ChannelScheduler &fleet() { return fleet_; }
 
-    /** @name ServiceHook (called from the fleet's event loop). */
+    /** @name ServiceHook (called from the fleet's epoch steps). */
     ///@{
-    void onRequestArrival(const ReactorEvent &event) override;
-    void onRequestComplete(const ReactorEvent &event) override;
+    void onRequestArrival(uint64_t ticket, double vtime) override;
     void onProbeObserved(std::size_t channel,
                          const AuthVerdict &verdict,
                          double vtime) override;
@@ -104,7 +102,7 @@ class FleetService final : public ServiceHook
     ///@}
 
   private:
-    /** One admitted request waiting for its RequestComplete. */
+    /** One admitted request waiting for its response. */
     struct Pending
     {
         ServiceRequest request;
@@ -134,6 +132,9 @@ class FleetService final : public ServiceHook
     void reject(const ServiceRequest &request, ResponseStatus status);
     /** Fold + record + store a finished response. */
     void emitResponse(ServiceResponse response);
+    /** Close `ticket`'s span at `vtime`, release its admission slot
+     *  and emit its response. */
+    void complete(uint64_t ticket, double vtime);
     /** Snapshot channel lifecycle fields into `response`. */
     void fillChannelState(std::size_t channel,
                           ServiceResponse &response) const;

@@ -69,7 +69,7 @@ struct EnrollmentDbConfig
     std::size_t shardCacheBytes = 0;
 
     /** Cache lane partition; the fleet reconfigures this to its
-     *  reactor-lane count via setShardCacheLanes(). */
+     *  hydration-lane count via setShardCacheLanes(). */
     unsigned shardCacheLanes = 1;
 
     /**

@@ -65,7 +65,7 @@ struct WriteFault
  * short reads and runs to EOF rather than stopping at st_size, so a
  * file that grew meanwhile, or one that reports size 0 (procfs), is
  * read in full. Reentrant: no shared buffer, safe from concurrent
- * reactor lanes.
+ * hydration lanes.
  *
  * Never throws. Any error — missing file, a directory (EISDIR), a
  * failing medium (EIO), an unallocatable size — returns false with

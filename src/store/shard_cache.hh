@@ -25,7 +25,7 @@
  *  - Lane partition: with `lanes = K`, shard s belongs to lane
  *    s % K, with its own LRU list and budget share. Calls touching
  *    lane k's shards must all come from the thread driving lane k
- *    (the reactor-lane discipline); the cache itself takes no locks,
+ *    (the hydration-lane discipline); the cache itself takes no locks,
  *    so the access order per lane — and with it every admission and
  *    eviction decision — is deterministic at any thread count.
  *

@@ -116,7 +116,7 @@ ThreadPool::attachTelemetry(Telemetry *telemetry,
                            MetricStability::Unstable);
     // Execution-shape accounting, like queue depth: the number of
     // parallelFor fan-outs depends on how work is partitioned (e.g.
-    // the reactor lane count), not on what the fleet computed, so the
+    // the hydration lane count), not on what the fleet computed, so the
     // counts stay out of the stable deterministic export.
     tmParallelFors_ = reg.counter(prefix + ".parallel_for.calls",
                                   MetricStability::Unstable);

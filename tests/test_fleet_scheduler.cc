@@ -5,7 +5,10 @@
  * policies), fused FleetAuthenticator verdicts and its threshold
  * validation, and the determinism contract — fused verdicts and
  * per-channel measurement streams must be bit-identical at any thread
- * count, including with a fault plan active on one channel.
+ * count, including with a fault plan active on one channel. Also the
+ * channel phase between ticks and the operator re-enrollment path out
+ * of PendingReenroll under both policies — including a persist that
+ * dies on an injected storage fault.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 #include "core/divot_system.hh"
 #include "fault/fault.hh"
 #include "fleet/channel_scheduler.hh"
+#include "store/enrollment_db.hh"
+#include "store/io.hh"
 #include "txline/tamper.hh"
 
 namespace divot {
@@ -96,10 +101,19 @@ TEST(FleetScheduler, CleanFleetFusesToTrustedBus)
     // Every channel probed every tick with a full instrument pool.
     for (std::size_t c = 0; c < 4; ++c)
         EXPECT_EQ(fleet.probeCount(c), 6u);
-    // Every probe completed through the reactor's event loop, and
-    // released its instrument with its round's busy time.
-    EXPECT_EQ(fleet.reactor().consumed(ReactorEventType::ProbeComplete),
+    // Every probe held its instrument for its channel's round: the
+    // utilization is those busy seconds over the pool's capacity.
+    double busy = 0.0;
+    uint64_t probes = 0;
+    for (std::size_t c = 0; c < 4; ++c) {
+        busy += static_cast<double>(fleet.probeCount(c)) *
+                fleet.channel(c).roundDuration();
+        probes += fleet.probeCount(c);
+    }
+    EXPECT_EQ(probes,
               fleet.telemetry().registry().counterValue("fleet.probes"));
+    EXPECT_DOUBLE_EQ(fleet.instrumentUtilization(),
+                     busy / (4.0 * 6.0 * fleet.tickDuration()));
     EXPECT_GT(fleet.instrumentUtilization(), 0.0);
 }
 
@@ -281,6 +295,178 @@ TEST(FleetScheduler, FacadeMatchesStandaloneChannel)
         EXPECT_EQ(a.authenticated, b.authenticated);
     }
     EXPECT_EQ(facade.elapsed(), channel.elapsed());
+}
+
+// ---------------------------------------------------------------------
+// Channel phase between ticks
+// ---------------------------------------------------------------------
+
+BusChannelConfig
+sizedChannel(std::size_t index, double line_length)
+{
+    BusChannelConfig cfg = quickChannel(index);
+    cfg.lineLength = line_length;
+    return cfg;
+}
+
+TEST(ReactorFleet, ChannelPhasesReturnToIdleBetweenTicks)
+{
+    FleetConfig cfg;
+    cfg.instruments = 2;
+    cfg.policy = SchedulerPolicy::RoundRobin;
+    cfg.threads = 2;
+    ChannelScheduler fleet(cfg, Rng(42));
+    for (std::size_t c = 0; c < 3; ++c)
+        fleet.addChannel(sizedChannel(c, 0.06 + 0.012 * c));
+    fleet.calibrateAll();
+    for (int t = 0; t < 4; ++t) {
+        fleet.tick();
+        for (std::size_t c = 0; c < 3; ++c)
+            EXPECT_EQ(fleet.channelPhase(c), ChannelPhase::Idle);
+    }
+}
+
+std::string
+freshDbDir(const char *name)
+{
+    const std::string dir = std::string(::testing::TempDir()) + name;
+    store::ensureDir(dir);
+    for (unsigned s = 0; s < 8; ++s) {
+        const std::string shard =
+            dir + "/shard-" + std::to_string(s) + ".bin";
+        store::removeFile(shard);
+        store::removeFile(shard + ".tmp");
+    }
+    store::removeFile(dir + "/journal.wal");
+    return dir;
+}
+
+store::EnrollmentDbConfig
+dbConfig(const std::string &dir)
+{
+    store::EnrollmentDbConfig cfg;
+    cfg.directory = dir;
+    cfg.shards = 4;
+    cfg.overlayFlushRecords = 2;
+    return cfg;
+}
+
+// ---------------------------------------------------------------------
+// Operator re-enrollment
+// ---------------------------------------------------------------------
+
+class ReenrollTest : public ::testing::TestWithParam<SchedulerPolicy>
+{
+};
+
+TEST_P(ReenrollTest, FencedChannelRejoinsAfterReenroll)
+{
+    const SchedulerPolicy policy = GetParam();
+    FleetConfig cfg;
+    cfg.instruments = 1;
+    cfg.policy = policy;
+    cfg.threads = 1;
+    ChannelScheduler fleet(cfg, Rng(42));
+    for (std::size_t c = 0; c < 2; ++c)
+        fleet.addChannel(quickChannel(c));
+    fleet.calibrateAll();
+
+    const std::string dir = freshDbDir(
+        policy == SchedulerPolicy::RoundRobin ? "reenroll_rr"
+                                              : "reenroll_rw");
+    store::EnrollmentDb db(dbConfig(dir));
+    ASSERT_TRUE(db.open());
+    fleet.attachStore(&db, 1); // evict everything unpinned
+
+    // Tick 0 probes wire0 and evicts wire1; losing wire1's durable
+    // copy fences it on the next hydration attempt.
+    fleet.tick();
+    ASSERT_TRUE(db.erase("wire1"));
+    fleet.tick();
+    ASSERT_EQ(fleet.channel(1).state(), AuthState::PendingReenroll);
+    ASSERT_EQ(fleet.channelPhase(1), ChannelPhase::Fenced);
+
+    // PendingReenroll -> re-calibrate -> persist -> re-admission.
+    const uint64_t generation = fleet.enrollmentGeneration(1);
+    ASSERT_TRUE(fleet.reenrollChannel(1));
+    EXPECT_EQ(fleet.enrollmentGeneration(1), generation + 1);
+    EXPECT_NE(fleet.channel(1).state(), AuthState::PendingReenroll);
+    EXPECT_EQ(fleet.channelPhase(1), ChannelPhase::Idle);
+    store::EnrollmentRecord rec;
+    EXPECT_EQ(db.get("wire1", rec), store::DbGetStatus::Ok);
+
+    bool probed1 = false;
+    for (int t = 0; t < 6; ++t) {
+        const FleetRound round = fleet.tick();
+        EXPECT_EQ(round.fused.pendingReenrollWires, 0u);
+        for (const ChannelProbe &probe : round.probes)
+            probed1 = probed1 || probe.channel == 1u;
+    }
+    EXPECT_TRUE(probed1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPolicies, ReenrollTest,
+    ::testing::Values(SchedulerPolicy::RoundRobin,
+                      SchedulerPolicy::RiskWeighted));
+
+TEST(ReenrollTest2, NoStoreAttachedReenrollStillRecalibrates)
+{
+    FleetConfig cfg;
+    cfg.instruments = 2;
+    cfg.threads = 1;
+    ChannelScheduler fleet(cfg, Rng(42));
+    fleet.addChannel(quickChannel(0));
+    fleet.addChannel(quickChannel(1));
+    fleet.calibrateAll();
+    // Storeless fleets have no hydration failures, but the operator
+    // entry point still re-calibrates: a fresh enrollment replaces
+    // the old one, with nothing to persist.
+    const std::vector<double> before =
+        fleet.channel(1).authenticator().enrolled().raw().samples();
+    EXPECT_TRUE(fleet.reenrollChannel(1));
+    EXPECT_NE(fleet.channel(1).authenticator().enrolled().raw().samples(),
+              before);
+    EXPECT_EQ(fleet.enrollmentGeneration(1), 0u);
+}
+
+TEST(ReenrollTest2, FaultedPersistReportsFailureAndCountsFaultEvent)
+{
+    FleetConfig cfg;
+    cfg.instruments = 1;
+    cfg.threads = 1;
+    ChannelScheduler fleet(cfg, Rng(42));
+    for (std::size_t c = 0; c < 2; ++c)
+        fleet.addChannel(quickChannel(c));
+    fleet.calibrateAll();
+
+    const std::string dir = freshDbDir("reenroll_faulted");
+    store::EnrollmentDb db(dbConfig(dir));
+    db.attachTelemetry(&fleet.telemetry());
+    ASSERT_TRUE(db.open());
+    fleet.attachStore(&db, 1);
+
+    fleet.tick();
+    ASSERT_TRUE(db.erase("wire1"));
+    fleet.tick();
+    ASSERT_EQ(fleet.channel(1).state(), AuthState::PendingReenroll);
+
+    // The re-enrollment's own put crashes: a storage power cut at the
+    // db's next IO event kills the handle mid-persist. The store
+    // counts the crash; the durable generation does not move.
+    FaultPlan plan;
+    plan.storageCrash(db.ioEvents(), StorageCrashPoint::BeforeCommit);
+    const FaultInjector injector(plan, Rng(99));
+    db.attachFaultInjector(&injector);
+
+    const uint64_t generation = fleet.enrollmentGeneration(1);
+    const uint64_t crashes_before =
+        fleet.telemetry().registry().counterValue("store.crashes");
+    EXPECT_FALSE(fleet.reenrollChannel(1));
+    EXPECT_EQ(fleet.telemetry().registry().counterValue("store.crashes"),
+              crashes_before + 1);
+    EXPECT_EQ(fleet.enrollmentGeneration(1), generation);
+    EXPECT_FALSE(db.alive());
 }
 
 } // namespace

@@ -5,7 +5,7 @@
  * verdict identity (with and without storage faults), crash-reopen
  * enrollment, the no-junk guarantee when shard images are
  * destroyed under a running fleet, and the constructor's rejection
- * of NaN and infinite score bars.
+ * of NaN and infinite score bars and of zero counts.
  */
 
 #include <gtest/gtest.h>
@@ -70,6 +70,26 @@ TEST(MegaFleetDeathTest, NonFiniteOrOutOfRangeBarsAreFatal)
         cfg.tamperThreshold = bad;
         EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "tamperThreshold") << bad;
     }
+}
+
+TEST(MegaFleetDeathTest, ZeroCountsAreFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A zero count is a configuration error, not a request for a
+    // default: each dies naming its field.
+    const std::string dir = freshDir("megafleet_zero_counts");
+    MegaFleetConfig cfg = smallConfig(dir, 1);
+    cfg.channels = 0;
+    EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "channels");
+    cfg = smallConfig(dir, 1);
+    cfg.fingerprintBins = 0;
+    EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "fingerprintBins");
+    cfg = smallConfig(dir, 1);
+    cfg.probesPerTick = 0;
+    EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "probesPerTick");
+    cfg = smallConfig(dir, 1);
+    cfg.instruments = 0;
+    EXPECT_DEATH(MegaFleet(cfg, Rng(1)), "instruments");
 }
 
 TEST(MegaFleet, EnrollsAndMonitorsClean)

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the sharded reactor lanes: partitioning the store-backed
- * hydration drain across `FleetConfig::reactorLanes` lane reactors
- * must be invisible in every probe verdict, every fused verdict, the
- * stable telemetry export, and the mega-fleet digest — at any thread
- * count, with and without injected storage faults. The lane count is
- * a performance knob, never a semantic one.
+ * Tests for the hydration lanes: bucketing the store-backed epoch's
+ * hydration by shard across `FleetConfig::reactorLanes` lanes must be
+ * invisible in every probe verdict, every fused verdict, the stable
+ * telemetry export, and the mega-fleet digest — at any thread count,
+ * with and without injected storage faults. The lane count is a
+ * performance knob, never a semantic one, and never exceeds the
+ * store's shard count.
  */
 
 #include <gtest/gtest.h>
@@ -62,7 +63,8 @@ struct LaneRun
 {
     std::vector<FleetRound> rounds;
     std::string stableExport;
-    int64_t queuePeak = 0;
+    unsigned lanes = 0;      //!< the fleet's resolved lane count
+    unsigned cacheLanes = 0; //!< the store's shard-cache lanes
 };
 
 LaneRun
@@ -103,8 +105,8 @@ runLanes(const std::string &tag, unsigned lanes, unsigned threads,
     for (int t = 0; t < ticks; ++t)
         run.rounds.push_back(fleet.tick());
     run.stableExport = fleet.telemetry().exportJson();
-    run.queuePeak = fleet.telemetry().registry().gaugeValue(
-        "fleet.reactor.queue.peak");
+    run.lanes = fleet.reactorLaneCount();
+    run.cacheLanes = db.config().shardCacheLanes;
     return run;
 }
 
@@ -147,15 +149,28 @@ TEST(ReactorLanes, VerdictsInvariantAcrossLaneAndThreadCounts)
     }
 }
 
-TEST(ReactorLanes, QueuePeakGaugeIsLaneInvariant)
+TEST(ReactorLanes, LaneCountNeverExceedsShards)
 {
-    // The queued-event population is the same whether it sits in one
-    // reactor or partitioned across K — the stable peak gauge must
-    // not see the partition.
-    const LaneRun one = runLanes("lanes_peak", 1, 1, 6);
-    const LaneRun four = runLanes("lanes_peak", 4, 4, 6);
-    EXPECT_GT(one.queuePeak, 0);
-    EXPECT_EQ(one.queuePeak, four.queuePeak);
+    // A lane beyond the shard count could never own a shard, yet it
+    // would take its share of the decoded-image cache budget. An
+    // explicit request is capped at the store's shard count.
+    const LaneRun four = runLanes("lanes_cap", 4, 2, 6);
+    const LaneRun many = runLanes("lanes_cap", 64, 2, 6);
+    EXPECT_EQ(four.lanes, 4u);
+    EXPECT_EQ(many.lanes, 4u);
+    EXPECT_EQ(many.cacheLanes, 4u);
+    expectSameRounds(four, many);
+    EXPECT_EQ(four.stableExport, many.stableExport);
+}
+
+TEST(ReactorLanes, LaneResolverCapsAtShards)
+{
+    EXPECT_EQ(resolveHydrationLanes(0, 4), 4u);
+    EXPECT_EQ(resolveHydrationLanes(0, 32), 8u);
+    EXPECT_EQ(resolveHydrationLanes(0, 0), 1u);
+    EXPECT_EQ(resolveHydrationLanes(3, 16), 3u);
+    EXPECT_EQ(resolveHydrationLanes(64, 4), 4u);
+    EXPECT_EQ(resolveHydrationLanes(64, 0), 1u);
 }
 
 TEST(ReactorLanes, LostRecordDemotionOrderIsLaneInvariant)
@@ -224,6 +239,8 @@ TEST(ReactorLanes, MegaFleetDigestIsLaneInvariant)
     EXPECT_EQ(one, digest("l4", 1, 4));
     EXPECT_EQ(one, digest("p4", 0, 4));
     EXPECT_EQ(one, digest("p8", 0, 8));
+    // 64 lanes over 8 shards resolve to 8.
+    EXPECT_EQ(one, digest("p64", 0, 64));
 }
 
 } // namespace
